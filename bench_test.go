@@ -268,7 +268,7 @@ func BenchmarkParallelWorkflow(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := compiled.RunParallel(context.Background(), 4); err != nil {
+			if _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -24,12 +24,12 @@
 // work saved), plus a quarantine run with poison rows diverted to the
 // dead-letter relation.
 //
-// R5 measures the serving layer: the workload load generator replays a
-// deterministic analyst traffic mix against an in-process studyd server
-// from -clients concurrent clients, reporting extract p50/p99, cache hit
-// ratio, and throughput for a cold and a warm pass — against the
-// compile-and-run-per-request baseline (what repeated runstudy
-// invocations cost). -min-speedup makes a too-small warm-cache advantage
+// R5 measures the serving layer: the open-loop load generator offers
+// -requests Poisson arrivals of a deterministic analyst traffic mix to an
+// in-process studyd server, at most -clients in flight, reporting extract
+// p50/p99, cache hit ratio, and throughput for a cold and a warm pass —
+// against the compile-and-run-per-request baseline (what repeated
+// runstudy invocations cost). -min-speedup makes a too-small warm-cache advantage
 // an error — the CI regression gate.
 //
 // R6 measures the incremental-refresh layer: a fixed-size mutation tick
@@ -106,8 +106,8 @@ func main() {
 	retries := flag.Int("retries", 2, "retries per step beyond the first attempt (R1)")
 	observe := flag.Bool("observe", false, "run R1 with tracing attached (smoke-tests the observability layer)")
 	maxOverhead := flag.Float64("max-overhead", 0, "fail if R2 tracing overhead exceeds this percentage (0 = report only)")
-	clients := flag.Int("clients", 8, "concurrent load-generator clients (R5)")
-	requests := flag.Int("requests", 400, "extract requests per load pass (R5)")
+	clients := flag.Int("clients", 8, "most extract requests in flight at once (R5)")
+	requests := flag.Int("requests", 400, "extract arrivals offered per load pass (R5)")
 	minSpeedup := flag.Float64("min-speedup", 0, "fail if R5 warm-cache p50 speedup falls below this factor (0 = report only)")
 	deltaBatch := flag.Int("delta-batch", 24, "contributor mutations per refresh tick (R6)")
 	maxFlat := flag.Float64("max-flat", 0, "fail if R6 delta tick latency grows by more than this factor across the warehouse scales (0 = report only)")

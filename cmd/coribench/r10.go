@@ -43,7 +43,7 @@ func expR10(seed int64, n int, minExtractRPS float64) {
 	// Diverting read over the same clean corpus: the quarantine seam's cost
 	// when it never fires.
 	cleanDivDur, err := timeIt(reps, func() error {
-		_, misses, err := notes.Stack.ReadDiverting(ctx, notes.DB, notes.Info)
+		_, misses, err := notes.Stack.ReadDiverting(ctx, notes.DB, notes.Info, nil)
 		if err == nil && len(misses) != 0 {
 			return fmt.Errorf("clean corpus diverted %d reports", len(misses))
 		}
@@ -68,7 +68,7 @@ func expR10(seed int64, n int, minExtractRPS float64) {
 	}
 	var diverted, kept int
 	dirtyDivDur, err := timeIt(reps, func() error {
-		rows, misses, err := dirty.Stack.ReadDiverting(ctx, dirty.DB, dirty.Info)
+		rows, misses, err := dirty.Stack.ReadDiverting(ctx, dirty.DB, dirty.Info, nil)
 		if err != nil {
 			return err
 		}

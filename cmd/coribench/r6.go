@@ -17,8 +17,9 @@ import (
 // cost tracks the number of changed entities, which a steady trickle of
 // contributor edits keeps constant. The harness replays the same tick at
 // warehouse scales 100x apart: each tick applies a fixed-size random
-// mutation batch and refreshes, once through RefreshDelta (journal scan,
-// keyed re-extract, group-wise patch) and once through the full plan.
+// mutation batch and refreshes, once as a delta (journal scan, then the
+// compiled workflow scoped to the changed keys, then the group-wise patch)
+// and once through the full plan.
 // Flatness is the ratio of delta tick latency at the largest scale to the
 // smallest; -max-flat turns a too-steep ratio into an error, and
 // -min-delta-speedup gates the delta-vs-full advantage at the largest
@@ -48,11 +49,9 @@ func expR6(seed int64, batch int, maxFlat, minDeltaSpeedup float64) {
 			fail(err)
 		}
 		warehouse := relstore.NewDB("warehouse")
-		if _, err := compiled.Refresh(warehouse); err != nil {
-			fail(err)
-		}
 		cursors := etl.NewDeltaCursors()
-		if err := compiled.SeedDeltaCursors(cursors); err != nil {
+		delta := etl.RefreshOptions{Mode: etl.DeltaRefresh, Cursors: cursors}
+		if _, err := compiled.Refresh(context.Background(), warehouse, etl.RefreshOptions{Cursors: cursors}); err != nil {
 			fail(err)
 		}
 
@@ -63,7 +62,7 @@ func expR6(seed int64, batch int, maxFlat, minDeltaSpeedup float64) {
 		if err := workload.Apply(contribs, muts); err != nil {
 			fail(err)
 		}
-		if _, err := compiled.RefreshDelta(context.Background(), warehouse, etl.DeltaOptions{Cursors: cursors}); err != nil {
+		if _, err := compiled.Refresh(context.Background(), warehouse, delta); err != nil {
 			fail(err)
 		}
 
@@ -78,7 +77,7 @@ func expR6(seed int64, batch int, maxFlat, minDeltaSpeedup float64) {
 				fail(err)
 			}
 			t0 := time.Now()
-			if _, err := compiled.RefreshDelta(context.Background(), warehouse, etl.DeltaOptions{Cursors: cursors}); err != nil {
+			if _, err := compiled.Refresh(context.Background(), warehouse, delta); err != nil {
 				fail(err)
 			}
 			deltaSum += time.Since(t0)
@@ -89,7 +88,7 @@ func expR6(seed int64, batch int, maxFlat, minDeltaSpeedup float64) {
 		// and the merge finds everything unchanged — the steady-state cost of
 		// periodic inclusion without journals.
 		fullDur, err := timeIt(reps, func() error {
-			_, err := compiled.RefreshContext(context.Background(), warehouse, etl.RunPolicy{})
+			_, err := compiled.Refresh(context.Background(), warehouse, etl.RefreshOptions{})
 			return err
 		})
 		if err != nil {

@@ -111,7 +111,7 @@ func dumpReports(seed int64, n, corrupt int, out string) error {
 			return err
 		}
 	}
-	rows, misses, err := c.Stack.ReadDiverting(context.Background(), c.DB, c.Info)
+	rows, misses, err := c.Stack.ReadDiverting(context.Background(), c.DB, c.Info, nil)
 	if err != nil {
 		return err
 	}

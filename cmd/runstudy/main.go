@@ -457,42 +457,37 @@ func runReference(contribs []*workload.Contributor, opt refOptions) {
 		if loaded > 0 {
 			fmt.Printf("loaded %d warehouse table(s) from %s\n", loaded, opt.warehouseDir)
 		}
-		var cursors *etl.DeltaCursors
+		// The persisted cursors mark what the last run already applied: a
+		// delta recomputes only journal entries past them, and either mode
+		// advances them for every contributor it patched, so the next
+		// -refresh-delta starts exactly where this refresh left off.
+		cursors, err := etl.LoadDeltaCursors(cursorFile)
+		if err != nil {
+			fail(err)
+		}
+		mode := etl.FullRefresh
 		if opt.refreshDelta {
-			// The persisted cursors mark what the last run already applied;
-			// only journal entries past them are recomputed.
-			if cursors, err = etl.LoadDeltaCursors(cursorFile); err != nil {
-				fail(err)
-			}
-			report, rerr := compiled.RefreshDelta(ctx, warehouse, etl.DeltaOptions{Cursors: cursors})
-			emitObservability(observer, opt)
-			if rerr != nil {
-				fail(rerr)
-			}
+			mode = etl.DeltaRefresh
+		}
+		report, rerr := compiled.Refresh(ctx, warehouse, etl.RefreshOptions{Mode: mode, Policy: opt.policy, Cursors: cursors})
+		emitObservability(observer, opt)
+		if rerr != nil {
+			fail(rerr)
+		}
+		if report.Run != nil {
+			writeRunReport(report.Run, opt)
+		}
+		if opt.refreshDelta {
 			fmt.Printf("delta refresh %q into table %q: %d changed key(s), %s\n",
 				spec.Name, compiled.Output.Table, report.Keys, report.Stats)
 		} else {
-			// Pin the cursors before the full run: anything the plan sees is
-			// at or below them, so the next -refresh-delta starts exactly
-			// where this refresh left off.
-			cursors = etl.NewDeltaCursors()
-			if err := compiled.SeedDeltaCursors(cursors); err != nil {
-				cursors = nil
-			}
-			stats, rerr := compiled.RefreshContext(ctx, warehouse, opt.policy)
-			emitObservability(observer, opt)
-			if rerr != nil {
-				fail(rerr)
-			}
-			fmt.Printf("refresh %q into table %q: %s\n", spec.Name, compiled.Output.Table, stats)
+			fmt.Printf("refresh %q into table %q: %s\n", spec.Name, compiled.Output.Table, report.Stats)
 		}
 		if err := saveWarehouse(opt.warehouseDir, warehouse, opt.segmentRows); err != nil {
 			fail(err)
 		}
-		if cursors != nil {
-			if err := cursors.Save(cursorFile); err != nil {
-				fail(err)
-			}
+		if err := cursors.Save(cursorFile); err != nil {
+			fail(err)
 		}
 		fmt.Printf("warehouse persisted to %s\n", opt.warehouseDir)
 		return
@@ -500,22 +495,7 @@ func runReference(contribs []*workload.Contributor, opt refOptions) {
 
 	out, report, err := compiled.RunResilient(ctx, opt.policy, opt.workers)
 	if report != nil {
-		if restored := report.Restored(); len(restored) > 0 {
-			fmt.Printf("resumed from checkpoints: %d step(s) restored (%s)\n",
-				len(restored), strings.Join(restored, ", "))
-		}
-		if q := report.Quarantine(); q != nil && opt.quarOut != "" {
-			if werr := writeQuarantine(opt.quarOut, q); werr != nil {
-				fail(werr)
-			}
-		}
-		if report.Quarantined > 0 {
-			fmt.Printf("quarantined rows: %d\n", report.Quarantined)
-		}
-	}
-	if opt.report && report != nil {
-		fmt.Print(report.Render())
-		fmt.Println()
+		writeRunReport(report, opt)
 	}
 	emitObservability(observer, opt)
 	if err != nil {
@@ -538,6 +518,28 @@ func runReference(contribs []*workload.Contributor, opt refOptions) {
 	}
 	fmt.Println("\nSmoking_D3 histogram:")
 	fmt.Print(sorted.Format())
+}
+
+// writeRunReport prints what a run restored and quarantined, writes the
+// dead-letter relation to -quarantine-out, and renders the per-step report
+// under -report.
+func writeRunReport(report *etl.RunReport, opt refOptions) {
+	if restored := report.Restored(); len(restored) > 0 {
+		fmt.Printf("resumed from checkpoints: %d step(s) restored (%s)\n",
+			len(restored), strings.Join(restored, ", "))
+	}
+	if q := report.Quarantine(); q != nil && opt.quarOut != "" {
+		if err := writeQuarantine(opt.quarOut, q); err != nil {
+			fail(err)
+		}
+	}
+	if report.Quarantined > 0 {
+		fmt.Printf("quarantined rows: %d\n", report.Quarantined)
+	}
+	if opt.report {
+		fmt.Print(report.Render())
+		fmt.Println()
+	}
 }
 
 // emitObservability prints whichever trace/metric outputs were requested.

@@ -312,7 +312,7 @@ func TestHasAChildJoin(t *testing.T) {
 		LeftCol: "ProcedureID", RightCol: "ProcedureRef",
 		RightPrefix: "f", To: etl.TableRef{DB: "out", Table: "joined"},
 	}, a, b)
-	if err := w.Run(context.Background(), ctx); err != nil {
+	if _, err := w.Execute(context.Background(), ctx, etl.RunPolicy{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	joined, err := ctx.DB("out").Table("joined")
@@ -363,18 +363,18 @@ Heavy    <- PacksPerDay >= 5
 		t.Fatal(err)
 	}
 	warehouse := NewDB("warehouse")
-	stats, err := st.Refresh(warehouse)
+	report, err := st.Refresh(context.Background(), warehouse, RefreshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Added != expN {
+	if stats := report.Stats; stats.Added != expN {
 		t.Errorf("first refresh added %d, want %d", stats.Added, expN)
 	}
-	stats, err = st.Refresh(warehouse)
+	report, err = st.Refresh(context.Background(), warehouse, RefreshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Unchanged != expN || stats.Added != 0 {
+	if stats := report.Stats; stats.Unchanged != expN || stats.Added != 0 {
 		t.Errorf("second refresh = %+v", stats)
 	}
 }
@@ -421,7 +421,7 @@ Heavy    <- %[1]s >= %[3]d
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := st.RunParallel(context.Background(), 3)
+	parallel, _, err := st.RunResilient(context.Background(), etl.RunPolicy{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,14 +470,14 @@ Heavy    <- %[1]s >= %[3]d
 	}
 	// Warehouse refresh is idempotent.
 	wh := NewDB("wh")
-	if _, err := st.Refresh(wh); err != nil {
+	if _, err := st.Refresh(context.Background(), wh, RefreshOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := st.Refresh(wh)
+	report, err := st.Refresh(context.Background(), wh, RefreshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Added != 0 || stats.Updated != 0 {
+	if stats := report.Stats; stats.Added != 0 || stats.Updated != 0 {
 		t.Errorf("second refresh = %+v", stats)
 	}
 }

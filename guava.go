@@ -131,6 +131,11 @@ type (
 	// RefreshStats summarizes one warehouse refresh (rows added, updated,
 	// unchanged); its Changed method is the cache-invalidation signal.
 	RefreshStats = etl.RefreshStats
+	// RefreshOptions configures a Study.Refresh: full or delta mode, the
+	// run policy, the journal cursors.
+	RefreshOptions = etl.RefreshOptions
+	// RefreshReport is one refresh's outcome: stats, delta keys, the run.
+	RefreshReport = etl.RefreshReport
 
 	// Observer bundles a Tracer and a metrics Registry; attach one to a
 	// run with WithObserver to collect spans and metrics.

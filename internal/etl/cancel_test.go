@@ -20,7 +20,7 @@ func TestCancelUnblocksParallel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- w.RunParallel(ctx, etl.NewContext(nil), 2) }()
+	go func() { _, err := w.Execute(ctx, etl.NewContext(nil), etl.RunPolicy{}, 2); errc <- err }()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
@@ -33,14 +33,14 @@ func TestCancelUnblocksParallel(t *testing.T) {
 	}
 }
 
-// TestCancelUnblocksSerial: the serial runner also propagates ctx into the
-// running component and unblocks.
+// TestCancelUnblocksSerial: a one-worker execution also propagates ctx into
+// the running component and unblocks.
 func TestCancelUnblocksSerial(t *testing.T) {
 	w := &etl.Workflow{Name: "blocky-serial"}
 	w.Add("hang", &faulty.Chaos{BlockUntilCancel: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- w.Run(ctx, etl.NewContext(nil)) }()
+	go func() { _, err := w.Execute(ctx, etl.NewContext(nil), etl.RunPolicy{}, 1); errc <- err }()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {

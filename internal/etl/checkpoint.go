@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,6 +76,29 @@ func (w *Workflow) Fingerprint() string {
 		for _, d := range s.DependsOn {
 			io.WriteString(h, "dep\x00"+d+"\x00")
 		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// scopedKey derives a key-scoped run's checkpoint key from the plan's: a
+// digest of the scope — every contributor's keys, order-independent —
+// joins it, so scoped and full runs, and runs over different key sets,
+// never share checkpoints.
+func scopedKey(base string, scope map[string][]relstore.Value) string {
+	names := make([]string, 0, len(scope))
+	for name := range scope {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	io.WriteString(h, "scope\x00"+base+"\x00")
+	for _, name := range names {
+		keys := make([]string, len(scope[name]))
+		for i, k := range scope[name] {
+			keys[i] = k.Key()
+		}
+		sort.Strings(keys)
+		io.WriteString(h, "contributor\x00"+name+"\x00"+strings.Join(keys, "\x1f")+"\x00")
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -230,10 +230,15 @@ func CompileTraced(ctx context.Context, spec *StudySpec) (_ *Compiled, err error
 			To:      tmp2,
 		}, extractID)
 
-		// The classify derivations come from the shared helper so the delta
-		// path (RefreshDelta) re-classifies changed rows with the exact
-		// expressions the full pipeline compiled.
-		derive := out.deriveList(c)
+		// Classify: entity key, contributor literal, then one CASE
+		// expression per study column.
+		derive := []relstore.Derivation{
+			{Name: EntityKeyColumn, Type: relstore.KindInt, Expr: relstore.Col(c.Form.KeyColumn)},
+			{Name: ContributorColumn, Type: relstore.KindString, Expr: relstore.Lit(relstore.Str(c.Name))},
+		}
+		for _, col := range spec.Columns {
+			derive = append(derive, relstore.Derivation{Name: col.As, Type: col.Kind, Expr: cols[col.As].Case()})
+		}
 		classified := TableRef{DB: "tmp2_" + c.Name, Table: c.Form.Name + "_classified"}
 		classifyID := out.Workflow.Add("classify/"+c.Name, &Query{
 			From:    tmp2,
@@ -255,37 +260,32 @@ func CompileTraced(ctx context.Context, spec *StudySpec) (_ *Compiled, err error
 	return out, nil
 }
 
-// Run executes the compiled workflow serially. Contributor databases
-// register under "source_<name>"; temporary databases materialize on demand.
-// It returns the study output sorted by contributor and entity key for
-// stable display.
+// Run executes the compiled workflow serially under the empty policy.
+// It returns the study output sorted on every column, contributor and
+// entity key first, for stable display.
 func (c *Compiled) Run() (*relstore.Rows, error) {
-	return c.run(func(w *Workflow, env *Context) error { return w.Run(context.Background(), env) })
+	rows, _, err := c.RunResilient(context.Background(), RunPolicy{}, 1)
+	return rows, err
 }
 
-// RunParallel executes the compiled workflow with the per-contributor chains
-// running concurrently under ctx; workers bounds concurrency (<= 0 means
-// unbounded).
-func (c *Compiled) RunParallel(ctx context.Context, workers int) (*relstore.Rows, error) {
-	return c.run(func(w *Workflow, env *Context) error { return w.RunParallel(ctx, env, workers) })
-}
-
-// newEnv builds the execution context: contributor databases register under
-// "source_<name>"; temporary databases materialize on demand.
-func (c *Compiled) newEnv() *Context {
+// newEnv builds the execution context: contributor databases register
+// under "source_<name>"; temporary databases materialize on demand. scope
+// maps contributor names to the instance keys their extracts read (nil
+// reads every key).
+func (c *Compiled) newEnv(scope map[string][]relstore.Value) *Context {
 	dbs := make(map[string]*relstore.DB, len(c.Spec.Contributors))
 	for _, ct := range c.Spec.Contributors {
 		dbs["source_"+ct.Name] = ct.DB
 	}
-	return NewContext(dbs)
-}
-
-func (c *Compiled) run(exec func(*Workflow, *Context) error) (*relstore.Rows, error) {
-	env := c.newEnv()
-	if err := exec(c.Workflow, env); err != nil {
-		return nil, err
+	env := NewContext(dbs)
+	if scope != nil {
+		env.scope = make(map[string][]relstore.Value, len(scope))
+		for name, keys := range scope {
+			// Copied non-nil: an empty scope reads nothing, not everything.
+			env.scope["source_"+name] = append([]relstore.Value{}, keys...)
+		}
 	}
-	return c.readOutput(env)
+	return env
 }
 
 // readOutput fetches, conforms, and stably sorts the study output table.
@@ -325,12 +325,26 @@ func (c *Compiled) readOutput(env *Context) (*relstore.Rows, error) {
 // only when no usable output exists at all — structural failure,
 // cancellation, a fail-fast step error, or every contributor failing.
 func (c *Compiled) RunResilient(ctx context.Context, policy RunPolicy, workers int) (*relstore.Rows, *RunReport, error) {
-	env := c.newEnv()
-	if policy.Checkpoint != nil && policy.CheckpointKey == "" {
-		// Key checkpoints by the plan compiled, not the components as
-		// currently wrapped: fault injectors around a step must not orphan
-		// the checkpoints the un-instrumented resume run will look for.
-		policy.CheckpointKey = c.fingerprint
+	return c.run(ctx, policy, workers, nil)
+}
+
+// run is RunResilient over a key scope (see newEnv): the same workflow,
+// each extract reading only its contributor's scoped keys. A scoped run
+// checkpoints under a key that digests the scope, so it never restores a
+// full run's step tables, nor a full run a scoped one's.
+func (c *Compiled) run(ctx context.Context, policy RunPolicy, workers int, scope map[string][]relstore.Value) (*relstore.Rows, *RunReport, error) {
+	env := c.newEnv(scope)
+	if policy.Checkpoint != nil {
+		if policy.CheckpointKey == "" {
+			// Key checkpoints by the plan compiled, not the components as
+			// currently wrapped: fault injectors around a step must not
+			// orphan the checkpoints the un-instrumented resume run will
+			// look for.
+			policy.CheckpointKey = c.fingerprint
+		}
+		if scope != nil {
+			policy.CheckpointKey = scopedKey(policy.CheckpointKey, scope)
+		}
 	}
 	report, err := c.Workflow.Execute(ctx, env, policy, workers)
 	if report != nil {

@@ -12,7 +12,19 @@
 // deadlines, and, with ContinueOnError, graceful degradation: a failed
 // contributor chain is pruned, its transitive dependents are skipped,
 // and a degradable load step (Union) runs on the surviving inputs. The
-// outcome of every step lands in a RunReport.
+// outcome of every step lands in a RunReport. Execute is the one engine:
+// Compiled.Run is its serial, empty-policy shorthand and
+// Compiled.RunResilient its policy run.
+//
+// # Refresh
+//
+// Compiled.Refresh patches a study's output into a warehouse table. A
+// full refresh runs the compiled workflow over every key; a delta runs
+// the same workflow with a key scope — each contributor's extract reads
+// only the keys its change journal recorded past the study's cursor.
+// Both run under the caller's RunPolicy and end in one group-wise patch
+// per contributor, so a delta is observationally a full refresh of the
+// changed entities.
 //
 // # Observability
 //
@@ -51,6 +63,12 @@ func recordIO(ctx context.Context, rowsIn, rowsOut int) {
 // create temporary databases on demand. Contexts are safe for concurrent
 // use, so independent workflow steps can run in parallel.
 type Context struct {
+	// scope limits each Extract to the instance keys listed for its source
+	// database (see Compiled.Refresh). A source absent from it — or a nil
+	// scope — reads every key. It belongs to one run and is fixed before
+	// any step runs, never shared between runs of one plan.
+	scope map[string][]relstore.Value
+
 	mu  sync.Mutex
 	dbs map[string]*relstore.DB
 }
@@ -170,19 +188,13 @@ func (e *Extract) Run(ctx context.Context, env *Context) error {
 	if !env.Has(e.SourceDB) {
 		return fmt.Errorf("etl: extract: unknown source database %q", e.SourceDB)
 	}
+	// The diverting read separates source-level misses (e.g. free-text
+	// extraction failures, with report-span provenance) from the clean
+	// relation; each is dead-lettered under the run's quarantine budget, or
+	// fails the step when the run has none. A key-scoped run reads only its
+	// keys.
 	quar := quarantineFrom(ctx)
-	if quar == nil {
-		rows, err := e.Stack.Read(env.DB(e.SourceDB), e.Form)
-		if err != nil {
-			return fmt.Errorf("etl: extract %s: %w", e.Form.Name, err)
-		}
-		recordIO(ctx, len(rows.Data), len(rows.Data))
-		return e.To.write(env, rows)
-	}
-	// With a quarantine budget, the diverting read separates source-level
-	// misses (e.g. free-text extraction failures, with report-span
-	// provenance) from the clean relation instead of failing the read.
-	rows, misses, err := e.Stack.ReadDiverting(ctx, env.DB(e.SourceDB), e.Form)
+	rows, misses, err := e.Stack.ReadDiverting(ctx, env.DB(e.SourceDB), e.Form, env.scope[e.SourceDB])
 	if err != nil {
 		return fmt.Errorf("etl: extract %s: %w", e.Form.Name, err)
 	}
@@ -197,10 +209,12 @@ func (e *Extract) Run(ctx context.Context, env *Context) error {
 			return qerr
 		}
 	}
-	// Rows whose key is missing are dead-lettered at the source too, so one
-	// poison row cannot poison every downstream stage.
-	if i := rows.Schema.Index(e.Form.KeyColumn); i >= 0 {
-		kept := make([]relstore.Row, 0, len(rows.Data))
+	// Under a quarantine budget, rows whose key is missing are dead-lettered
+	// at the source too, so one poison row cannot poison every downstream
+	// stage. The read handed us its own slice, so the survivors compact in
+	// place.
+	if i := rows.Schema.Index(e.Form.KeyColumn); quar != nil && i >= 0 {
+		kept := rows.Data[:0]
 		for _, row := range rows.Data {
 			if row[i].IsNull() {
 				rerr := fmt.Errorf("extract %s: NULL key %s", e.Form.Name, e.Form.KeyColumn)
@@ -212,7 +226,7 @@ func (e *Extract) Run(ctx context.Context, env *Context) error {
 			}
 			kept = append(kept, row)
 		}
-		rows = &relstore.Rows{Schema: rows.Schema, Data: kept}
+		rows.Data = kept
 	}
 	recordIO(ctx, rowsIn, len(rows.Data))
 	return e.To.write(env, rows)

@@ -1,28 +1,15 @@
 package etl
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 
-	"guava/internal/obs"
 	"guava/internal/patterns"
 	"guava/internal/relstore"
 )
-
-// The full Refresh re-extracts every contributor relation on every run — the
-// paper's "periodically sent for inclusion in the CORI warehouse" batch. As
-// the warehouse grows, that cost grows with it even when almost nothing
-// changed. The delta path here keeps refresh latency proportional to the
-// change set instead: each contributor's pattern stack journals the instance
-// keys it touches (patterns.Journal), RefreshDelta re-reads and re-classifies
-// only those keys, and the result is patched into the warehouse group-wise
-// with the same multiset semantics Merge uses — so deltaRefresh(w, d) is
-// observationally identical to fullRefresh(apply(w, d)).
 
 // DeltaSource is a contributor's changed-row feed: a monotone high-water
 // mark plus the distinct instance keys recorded past a cursor. It is the
@@ -138,287 +125,4 @@ func LoadDeltaCursorsFS(fsys FS, path string) (*DeltaCursors, error) {
 		return nil, fmt.Errorf("etl: cursor file %s: %w", path, err)
 	}
 	return &DeltaCursors{pos: pos}, nil
-}
-
-// SeedDeltaCursors positions the cursors at every contributor's current
-// high-water mark — the right starting point immediately after a full
-// refresh, when the warehouse already reflects everything journaled so far.
-// Contributors without a delta source are skipped.
-func (c *Compiled) SeedDeltaCursors(cursors *DeltaCursors) error {
-	for _, ct := range c.Spec.Contributors {
-		src := ct.DeltaSource()
-		if src == nil {
-			continue
-		}
-		hwm, err := src.HighWaterMark()
-		if err != nil {
-			return fmt.Errorf("etl: seed cursor %q: %w", ct.Name, err)
-		}
-		cursors.Set(ct.Name, hwm)
-	}
-	return nil
-}
-
-// DeltaHooks are test seams around the warehouse patch of each contributor
-// with a non-empty delta. BeforeApply runs before any write lands; AfterApply
-// runs after the patch but before the cursor advances — an error from either
-// aborts the refresh with that contributor's cursor unmoved, so a resumed run
-// re-reads and re-applies the same window (the patch is idempotent).
-type DeltaHooks struct {
-	BeforeApply func(contributor string) error
-	AfterApply  func(contributor string) error
-}
-
-// DeltaOptions configures one delta refresh.
-type DeltaOptions struct {
-	// Cursors is the study's applied position per contributor (required).
-	Cursors *DeltaCursors
-	// Hooks wrap each contributor's warehouse patch.
-	Hooks DeltaHooks
-}
-
-// DeltaReport summarizes one delta refresh. Stats is computed from the delta
-// alone: Added and Updated match what a full refresh over the same warehouse
-// would report, while Unchanged and Total count only the delta rows that were
-// re-derived (a full refresh would also count every untouched row).
-type DeltaReport struct {
-	Stats RefreshStats
-	// Keys is the number of distinct changed instance keys consumed.
-	Keys int
-	// ByContributor breaks the stats down per contributor.
-	ByContributor map[string]RefreshStats
-}
-
-// deriveList rebuilds the exact derivation list the compiled classify stage
-// runs for a contributor — entity key, contributor literal, then one CASE
-// expression per study column — so delta rows are classified by the very
-// same expressions as full runs.
-func (c *Compiled) deriveList(ct *ContributorPlan) []relstore.Derivation {
-	derive := []relstore.Derivation{
-		{Name: EntityKeyColumn, Type: relstore.KindInt, Expr: relstore.Col(ct.Form.KeyColumn)},
-		{Name: ContributorColumn, Type: relstore.KindString, Expr: relstore.Lit(relstore.Str(ct.Name))},
-	}
-	for _, col := range c.Spec.Columns {
-		derive = append(derive, relstore.Derivation{
-			Name: col.As, Type: col.Kind, Expr: c.ColumnBinds[ct.Name][col.As].Case(),
-		})
-	}
-	return derive
-}
-
-// RefreshDelta refreshes the warehouse from each contributor's change journal
-// instead of re-running the study: changed keys are re-read through the
-// pattern stack, re-selected and re-classified with the compiled study's own
-// predicates and derivations, and patched into the warehouse group-wise with
-// Merge's multiset semantics. Entities whose recomputed group is empty (they
-// were deprecated, or no longer select as study entities) leave their
-// existing warehouse history untouched — the same stable-history contract a
-// full refresh honors for absent keys.
-//
-// Every contributor must expose a DeltaSource; otherwise ErrNoDeltaSource is
-// returned (wrapped with the contributor name) and the caller should fall
-// back to RefreshContext.
-//
-// The refresh publishes refresh.delta.* counters into the metrics registry
-// carried by ctx (obs.MetricsFrom), mirroring the full-refresh counters.
-func (c *Compiled) RefreshDelta(ctx context.Context, warehouse *relstore.DB, opts DeltaOptions) (_ *DeltaReport, err error) {
-	if opts.Cursors == nil {
-		return nil, fmt.Errorf("etl: RefreshDelta %q: DeltaOptions.Cursors is required", c.Spec.Name)
-	}
-	ctx, span := obs.StartSpan(ctx, "refresh-delta "+c.Spec.Name, obs.String("study", c.Spec.Name))
-	defer func() { span.EndErr(err) }()
-
-	outSchema, err := c.Spec.OutputSchema()
-	if err != nil {
-		return nil, err
-	}
-	table, err := warehouse.EnsureTable(c.Output.Table, outSchema)
-	if err != nil {
-		return nil, err
-	}
-	// The patch probes by entity key within a contributor; make sure both
-	// probe columns are indexed (no-ops when already present).
-	if err := table.CreateIndex(EntityKeyColumn); err != nil {
-		return nil, err
-	}
-	if err := table.CreateIndex(ContributorColumn); err != nil {
-		return nil, err
-	}
-
-	report := &DeltaReport{ByContributor: make(map[string]RefreshStats)}
-	for _, ct := range c.Spec.Contributors {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		src := ct.DeltaSource()
-		if src == nil {
-			return nil, fmt.Errorf("etl: contributor %q: %w", ct.Name, ErrNoDeltaSource)
-		}
-		since := opts.Cursors.Get(ct.Name)
-		keys, hwm, err := src.ChangedSince(since)
-		if err != nil {
-			return nil, fmt.Errorf("etl: delta %q: %w", ct.Name, err)
-		}
-		if len(keys) == 0 {
-			// Nothing recorded past the cursor: advance it and move on
-			// without touching the warehouse.
-			opts.Cursors.Set(ct.Name, hwm)
-			continue
-		}
-		report.Keys += len(keys)
-
-		order, groups, err := c.recomputeDelta(ct, keys)
-		if err != nil {
-			return nil, err
-		}
-
-		if opts.Hooks.BeforeApply != nil {
-			if err := opts.Hooks.BeforeApply(ct.Name); err != nil {
-				return nil, err
-			}
-		}
-		stats, err := patchGroups(table, ct.Name, order, groups)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Hooks.AfterApply != nil {
-			if err := opts.Hooks.AfterApply(ct.Name); err != nil {
-				return nil, err
-			}
-		}
-		opts.Cursors.Set(ct.Name, hwm)
-
-		report.ByContributor[ct.Name] = stats
-		report.Stats.Added += stats.Added
-		report.Stats.Updated += stats.Updated
-		report.Stats.Unchanged += stats.Unchanged
-		report.Stats.Removed += stats.Removed
-		report.Stats.Total += stats.Total
-	}
-
-	m := obs.MetricsFrom(ctx)
-	m.Counter("refresh.delta.runs").Inc()
-	m.Counter("refresh.delta.keys").Add(int64(report.Keys))
-	m.Counter("refresh.delta.added").Add(int64(report.Stats.Added))
-	m.Counter("refresh.delta.updated").Add(int64(report.Stats.Updated))
-	m.Counter("refresh.delta.unchanged").Add(int64(report.Stats.Unchanged))
-	m.Counter("refresh.delta.removed").Add(int64(report.Stats.Removed))
-	if report.Keys == 0 {
-		m.Counter("refresh.delta.empty").Inc()
-	}
-	span.SetAttr(obs.Int("keys", int64(report.Keys)),
-		obs.Int("added", int64(report.Stats.Added)), obs.Int("updated", int64(report.Stats.Updated)),
-		obs.Int("removed", int64(report.Stats.Removed)))
-	return report, nil
-}
-
-// recomputeDelta runs the compiled select→classify stages over just the
-// changed keys of one contributor: read the keys back through the pattern
-// stack, keep rows passing the entity selection and condition, derive the
-// output row, and group by entity key. Changed keys whose recompute yields
-// zero rows (the entity was deprecated, or fell out of the selection) are
-// still returned in the order with an empty group, so the patch can delete
-// their stale warehouse rows. The returned order is sorted by value, and each
-// group's rows are sorted canonically, so the patch is deterministic whatever
-// order the journal produced the keys in.
-func (c *Compiled) recomputeDelta(ct *ContributorPlan, keys []relstore.Value) ([]relstore.Value, map[string][]relstore.Row, error) {
-	rows, err := ct.Stack.ReadKeys(ct.DB, ct.Form, keys)
-	if err != nil {
-		return nil, nil, fmt.Errorf("etl: delta read %q: %w", ct.Name, err)
-	}
-	filter := relstore.And(c.EntityBinds[ct.Name].Selection(), c.Conditions[ct.Name])
-	derive := c.deriveList(ct)
-
-	// Selection and classification run through the columnar batch operators
-	// — the same chunked kernels a full refresh uses — rather than a
-	// row-at-a-time loop; only the ordered grouping below is sequential.
-	filtered, err := relstore.Select(rows, filter)
-	if err != nil {
-		return nil, nil, fmt.Errorf("etl: delta select %q: %w", ct.Name, err)
-	}
-	derived, err := relstore.Derive(filtered, derive...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("etl: delta classify %q: %w", ct.Name, err)
-	}
-	groups := make(map[string][]relstore.Row)
-	var order []relstore.Value
-	for _, nr := range derived.Data {
-		gk := nr[0].Key()
-		if _, seen := groups[gk]; !seen {
-			order = append(order, nr[0])
-		}
-		groups[gk] = append(groups[gk], nr)
-	}
-	// Changed keys that produced no output rows still need patching: their
-	// old warehouse group (if any) is now stale and must be deleted.
-	for _, k := range keys {
-		if _, seen := groups[k.Key()]; !seen {
-			order = append(order, k)
-			groups[k.Key()] = nil
-		}
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].Compare(order[b]) < 0 })
-	for _, rs := range groups {
-		sort.Slice(rs, func(a, b int) bool { return rs[a].Key() < rs[b].Key() })
-	}
-	return order, groups, nil
-}
-
-// patchGroups applies recomputed entity groups to the warehouse table with
-// Merge's semantics — absent groups insert, identical multisets are left
-// alone, changed groups are replaced — but batched: all replaced groups are
-// removed in a single Delete (one scan, one index rebuild) and all new rows
-// land in a single InsertAll, instead of paying a table scan per entity.
-func patchGroups(table *relstore.Table, contributor string, order []relstore.Value, groups map[string][]relstore.Row) (RefreshStats, error) {
-	var stats RefreshStats
-	contrib := relstore.Str(contributor)
-	var updatedKeys []relstore.Value
-	var toInsert []relstore.Row
-	for _, key := range order {
-		group := groups[key.Key()]
-		stats.Total += len(group)
-		// Entity-key equality first: Select's index probe uses the first
-		// indexable conjunct, and the entity key is the selective one.
-		existing, err := table.Select(relstore.And(
-			relstore.Eq(EntityKeyColumn, key),
-			relstore.Eq(ContributorColumn, contrib),
-		))
-		if err != nil {
-			return stats, err
-		}
-		switch {
-		case len(group) == 0:
-			// The key changed but recomputes to nothing (deprecated, or
-			// fell out of the selection): delete its stale group, if one
-			// was ever warehoused.
-			if len(existing.Data) > 0 {
-				updatedKeys = append(updatedKeys, key)
-				stats.Removed += len(existing.Data)
-			}
-		case len(existing.Data) == 0:
-			toInsert = append(toInsert, group...)
-			stats.Added += len(group)
-		case sameRowSet(existing.Data, group):
-			stats.Unchanged += len(group)
-		default:
-			updatedKeys = append(updatedKeys, key)
-			toInsert = append(toInsert, group...)
-			stats.Updated += len(group)
-		}
-	}
-	if len(updatedKeys) > 0 {
-		_, err := table.Delete(relstore.And(
-			relstore.In(relstore.Col(EntityKeyColumn), updatedKeys...),
-			relstore.Eq(ContributorColumn, contrib),
-		))
-		if err != nil {
-			return stats, err
-		}
-	}
-	if len(toInsert) > 0 {
-		if err := table.InsertAll(toInsert); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
 }

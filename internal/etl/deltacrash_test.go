@@ -51,18 +51,15 @@ func TestDeltaCrashResume(t *testing.T) {
 			}
 			baseRef := base.studies[0]
 			baseWH := relstore.NewDB("warehouse_base")
-			if _, err := baseRef.RefreshContext(ctx, baseWH, etl.RunPolicy{}); err != nil {
-				t.Fatal(err)
-			}
 			baseCur := etl.NewDeltaCursors()
-			if err := baseRef.SeedDeltaCursors(baseCur); err != nil {
+			if _, err := baseRef.Refresh(ctx, baseWH, etl.RefreshOptions{Cursors: baseCur}); err != nil {
 				t.Fatal(err)
 			}
 			batch := workload.RandomBatch(base.contribs, batchSeed, batchSize)
 			if err := workload.Apply(base.contribs, batch); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := baseRef.RefreshDelta(ctx, baseWH, etl.DeltaOptions{Cursors: baseCur}); err != nil {
+			if _, err := baseRef.Refresh(ctx, baseWH, etl.RefreshOptions{Mode: etl.DeltaRefresh, Cursors: baseCur}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -73,11 +70,8 @@ func TestDeltaCrashResume(t *testing.T) {
 			}
 			ref := crash.studies[0]
 			wh := relstore.NewDB("warehouse_crash")
-			if _, err := ref.RefreshContext(ctx, wh, etl.RunPolicy{}); err != nil {
-				t.Fatal(err)
-			}
 			cursors := etl.NewDeltaCursors()
-			if err := ref.SeedDeltaCursors(cursors); err != nil {
+			if _, err := ref.Refresh(ctx, wh, etl.RefreshOptions{Cursors: cursors}); err != nil {
 				t.Fatal(err)
 			}
 			cursorFile := filepath.Join(t.TempDir(), "cursors.json")
@@ -97,13 +91,13 @@ func TestDeltaCrashResume(t *testing.T) {
 				}
 				return nil
 			}
-			opts := etl.DeltaOptions{Cursors: cursors}
+			opts := etl.RefreshOptions{Mode: etl.DeltaRefresh, Cursors: cursors}
 			if tc.after {
 				opts.Hooks.AfterApply = hook
 			} else {
 				opts.Hooks.BeforeApply = hook
 			}
-			if _, err := ref.RefreshDelta(ctx, wh, opts); !errors.Is(err, faulty.ErrCrashed) {
+			if _, err := ref.Refresh(ctx, wh, opts); !errors.Is(err, faulty.ErrCrashed) {
 				t.Fatalf("crash run error = %v, want ErrCrashed", err)
 			}
 
@@ -114,7 +108,7 @@ func TestDeltaCrashResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ref.RefreshDelta(ctx, wh, etl.DeltaOptions{Cursors: resumed}); err != nil {
+			if _, err := ref.Refresh(ctx, wh, etl.RefreshOptions{Mode: etl.DeltaRefresh, Cursors: resumed}); err != nil {
 				t.Fatalf("resume refresh: %v", err)
 			}
 

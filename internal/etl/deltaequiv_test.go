@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"guava/internal/baseline"
 	"guava/internal/etl"
+	"guava/internal/etl/faulty"
 	"guava/internal/relstore"
 	"guava/internal/workload"
 )
@@ -17,10 +19,13 @@ import (
 // fullRefresh(apply(w, d)) — byte-identical warehouse relations and the same
 // Added/Updated counts. The harness drives two universes built from the same
 // seed (so they start bit-identical), applies the same randomized mutation
-// batches to both, refreshes one through RefreshDelta and the other through
-// the full RefreshContext, and compares after every round. On failure the
-// offending history is greedily shrunk to a minimal counterexample before
-// reporting.
+// batches to both, refreshes one by delta and the other in full, and
+// compares after every round. Under an injected fault — poison rows,
+// corrupt appended reports, a contributor failing for a round — both
+// universes suffer it alike and the runs carry a quarantine budget: the
+// delta's dead-letter entries must then be the full run's restricted to the
+// keys the delta read. On failure the offending history is greedily shrunk
+// to a minimal counterexample before reporting.
 
 // equivUniverse is one self-contained world: the three form contributors
 // plus the free-text Notes contributor, and the two studies studyd serves
@@ -28,6 +33,89 @@ import (
 type equivUniverse struct {
 	contribs []*workload.Contributor
 	studies  []*etl.Compiled
+	// chaos holds the fault injectors a fault installed, one per study.
+	chaos []*faulty.Chaos
+}
+
+// contributor returns the universe's contributor with the given name.
+func (u *equivUniverse) contributor(name string) *workload.Contributor {
+	for _, c := range u.contribs {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+// equivFault is one failure the harness injects into both universes alike.
+type equivFault struct {
+	name string
+	// install instruments a freshly built universe.
+	install func(u *equivUniverse)
+	// round runs before refresh round ri (-1: the initial load).
+	round func(u *equivUniverse, ri int) error
+	// failed names the contributor whose chain fails in round ri, if any.
+	failed func(ri int) string
+}
+
+// faultPolicy is the run policy every faulted refresh runs under.
+var faultPolicy = etl.RunPolicy{MaxQuarantinedRows: 64, ContinueOnError: true}
+
+// equivFaults are the faults the repo can inject, each exercised over the
+// same seeded histories as the clean harness.
+var equivFaults = []equivFault{
+	{
+		// NULL keys planted in CORI's extract output for a fixed key set:
+		// the records quarantine at select wherever they are read.
+		name: "poison-rows",
+		install: func(u *equivUniverse) {
+			var keys []relstore.Value
+			for k := int64(3); k <= 1000; k += 7 {
+				keys = append(keys, relstore.Int(k))
+			}
+			col := u.contributor("CORI").Info.KeyColumn
+			for _, s := range u.studies {
+				faulty.Wrap(s.Workflow, "extract/CORI", func(wrapped etl.Component) *faulty.Chaos {
+					return &faulty.Chaos{Wrapped: wrapped, PoisonRows: len(keys), PoisonColumn: col, PoisonKeys: keys}
+				})
+			}
+		},
+	},
+	{
+		// A report whose smoking status is out of vocabulary lands in
+		// Notes every round; it quarantines with report-span provenance.
+		name: "corrupt-notes",
+		round: func(u *equivUniverse, ri int) error {
+			if ri < 0 {
+				return nil
+			}
+			id := int64(100000 + ri)
+			return u.contributor("Notes").InjectReport(id, workload.CorruptNoteBody(id))
+		},
+	},
+	{
+		// EndoSoft's extract fails for round 1 only.
+		name: "failing-contributor",
+		install: func(u *equivUniverse) {
+			for _, s := range u.studies {
+				u.chaos = append(u.chaos, faulty.Wrap(s.Workflow, "extract/EndoSoft", func(wrapped etl.Component) *faulty.Chaos {
+					return &faulty.Chaos{Wrapped: wrapped}
+				}))
+			}
+		},
+		round: func(u *equivUniverse, ri int) error {
+			for _, ch := range u.chaos {
+				ch.FailForever = ri == 1
+			}
+			return nil
+		},
+		failed: func(ri int) string {
+			if ri == 1 {
+				return "EndoSoft"
+			}
+			return ""
+		},
+	},
 }
 
 // buildEquivUniverse constructs the contributors and compiles the reference
@@ -112,36 +200,50 @@ func compareWarehouses(du *equivUniverse, dw, fw *relstore.DB) (string, error) {
 	return "", nil
 }
 
-// checkEquivalence replays the mutation history through both refresh paths
-// and returns a description of the first divergence ("" when equivalent).
-func checkEquivalence(seed int64, n int, history [][]workload.Mutation) (string, error) {
+// checkEquivalence replays the mutation history through both refresh paths,
+// under the fault when one is given, and returns a description of the
+// first divergence ("" when equivalent).
+func checkEquivalence(seed int64, n int, history [][]workload.Mutation, fault *equivFault) (string, error) {
 	ctx := context.Background()
-	du, err := buildEquivUniverse(seed, n)
-	if err != nil {
-		return "", err
+	policy := etl.RunPolicy{}
+	var du, fu *equivUniverse
+	for _, u := range []**equivUniverse{&du, &fu} {
+		var err error
+		if *u, err = buildEquivUniverse(seed, n); err != nil {
+			return "", err
+		}
+		if fault != nil {
+			policy = faultPolicy
+			if fault.install != nil {
+				fault.install(*u)
+			}
+		}
 	}
-	fu, err := buildEquivUniverse(seed, n)
-	if err != nil {
-		return "", err
+	round := func(ri int) error {
+		if fault == nil || fault.round == nil {
+			return nil
+		}
+		if err := fault.round(du, ri); err != nil {
+			return err
+		}
+		return fault.round(fu, ri)
 	}
 	dw := relstore.NewDB("warehouse_delta")
 	fw := relstore.NewDB("warehouse_full")
 
-	// Initial load: both universes run a full refresh; the delta universe
-	// then pins its cursors at the journals' current high-water marks.
-	cursors := make(map[string]*etl.DeltaCursors)
-	for _, s := range du.studies {
-		if _, err := s.RefreshContext(ctx, dw, etl.RunPolicy{}); err != nil {
-			return "", err
-		}
-		cur := etl.NewDeltaCursors()
-		if err := s.SeedDeltaCursors(cur); err != nil {
-			return "", err
-		}
-		cursors[s.Spec.Name] = cur
+	// Initial load: both universes run a full refresh; the delta universe's
+	// refresh also pins its cursors at the journals' high-water marks.
+	if err := round(-1); err != nil {
+		return "", err
 	}
-	for _, s := range fu.studies {
-		if _, err := s.RefreshContext(ctx, fw, etl.RunPolicy{}); err != nil {
+	cursors := make(map[string]*etl.DeltaCursors)
+	for si := range du.studies {
+		cur := etl.NewDeltaCursors()
+		if _, err := du.studies[si].Refresh(ctx, dw, etl.RefreshOptions{Policy: policy, Cursors: cur}); err != nil {
+			return "", err
+		}
+		cursors[du.studies[si].Spec.Name] = cur
+		if _, err := fu.studies[si].Refresh(ctx, fw, etl.RefreshOptions{Policy: policy}); err != nil {
 			return "", err
 		}
 	}
@@ -149,7 +251,7 @@ func checkEquivalence(seed int64, n int, history [][]workload.Mutation) (string,
 		return d, err
 	}
 
-	var totalKeys, totalWrites int
+	var totalKeys, totalWrites, faulted int
 	for ri, batch := range history {
 		if err := workload.Apply(du.contribs, batch); err != nil {
 			return "", err
@@ -157,25 +259,54 @@ func checkEquivalence(seed int64, n int, history [][]workload.Mutation) (string,
 		if err := workload.Apply(fu.contribs, batch); err != nil {
 			return "", err
 		}
+		if err := round(ri); err != nil {
+			return "", err
+		}
 		for si := range du.studies {
 			ds := du.studies[si]
-			report, err := ds.RefreshDelta(ctx, dw, etl.DeltaOptions{Cursors: cursors[ds.Spec.Name]})
+			cur := cursors[ds.Spec.Name]
+			before := cur.Snapshot()
+			inScope, err := scopedEntries(du, cur)
+			if err != nil {
+				return "", err
+			}
+			report, err := ds.Refresh(ctx, dw, etl.RefreshOptions{Mode: etl.DeltaRefresh, Policy: policy, Cursors: cur})
 			if err != nil {
 				return "", err
 			}
 			totalKeys += report.Keys
 			totalWrites += report.Stats.Added + report.Stats.Updated
-			full, err := fu.studies[si].RefreshContext(ctx, fw, etl.RunPolicy{})
+			full, err := fu.studies[si].Refresh(ctx, fw, etl.RefreshOptions{Policy: policy})
 			if err != nil {
 				return "", err
 			}
 			// Added and Updated are warehouse writes — provably identical
 			// on both paths. Unchanged/Total are delta-scoped by design and
 			// deliberately not compared.
-			if report.Stats.Added != full.Added || report.Stats.Updated != full.Updated ||
-				report.Stats.Changed() != full.Changed() {
+			if report.Stats.Added != full.Stats.Added || report.Stats.Updated != full.Stats.Updated ||
+				report.Stats.Changed() != full.Stats.Changed() {
 				return fmt.Sprintf("round %d study %s stats diverged: delta %+v vs full %+v",
-					ri, ds.Spec.Name, report.Stats, full), nil
+					ri, ds.Spec.Name, report.Stats, full.Stats), nil
+			}
+			var got, want []etl.QuarantineEntry
+			if report.Run != nil {
+				got = report.Run.QuarantineEntries()
+				faulted += len(got) + len(report.Run.DegradedContributors)
+			}
+			for _, e := range full.Run.QuarantineEntries() {
+				if inScope(e) {
+					want = append(want, e)
+				}
+			}
+			if (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+				return fmt.Sprintf("round %d study %s quarantine diverged:\n--- delta ---\n%+v\n--- full, in scope ---\n%+v",
+					ri, ds.Spec.Name, got, want), nil
+			}
+			if fault != nil && fault.failed != nil {
+				if name := fault.failed(ri); name != "" && cur.Get(name) != before[name] {
+					return fmt.Sprintf("round %d study %s: failed contributor %s moved its cursor %d -> %d",
+						ri, ds.Spec.Name, name, before[name], cur.Get(name)), nil
+				}
 			}
 		}
 		if d, err := compareWarehouses(du, dw, fw); err != nil || d != "" {
@@ -191,12 +322,46 @@ func checkEquivalence(seed int64, n int, history [][]workload.Mutation) (string,
 		return "", fmt.Errorf("vacuous harness: %d delta keys, %d warehouse writes across %d rounds",
 			totalKeys, totalWrites, len(history))
 	}
+	if len(history) > 0 && fault != nil && faulted == 0 {
+		return "", fmt.Errorf("vacuous fault %s: no delta quarantined a row or degraded a contributor", fault.name)
+	}
 	return "", nil
+}
+
+// scopedEntries returns whether a quarantine entry concerns a record the
+// next delta reads: one whose key is journaled past the cursors. Entries
+// name their record by key (source misses) or, when the key itself was
+// poisoned to NULL, by the rest of the row; both identities of every
+// scoped record are collected.
+func scopedEntries(u *equivUniverse, cursors *etl.DeltaCursors) (func(etl.QuarantineEntry) bool, error) {
+	ids := map[string]bool{}
+	for _, c := range u.contribs {
+		keys, _, err := c.Stack.Journal.ChangedSince(c.DB, c.Info, cursors.Get(c.Name))
+		if err != nil {
+			return nil, err
+		}
+		rows, _, err := c.Stack.ReadDiverting(context.Background(), c.DB, c.Info, append([]relstore.Value{}, keys...))
+		if err != nil {
+			return nil, err
+		}
+		ki := rows.Schema.Index(c.Info.KeyColumn)
+		for _, r := range rows.Data {
+			poisoned := r.Clone()
+			poisoned[ki] = relstore.Null()
+			ids[c.Name+"\x00"+etl.RenderRowForTest(poisoned, rows.Schema)] = true
+		}
+		for _, k := range keys {
+			ids[c.Name+"\x00"+k.Display()] = true
+		}
+	}
+	return func(e etl.QuarantineEntry) bool {
+		return ids[e.Contributor+"\x00"+e.RowKey] || ids[e.Contributor+"\x00"+e.RowData]
+	}, nil
 }
 
 // shrinkHistory greedily removes single mutations while the divergence
 // persists, yielding a (locally) minimal failing history.
-func shrinkHistory(seed int64, n int, history [][]workload.Mutation) [][]workload.Mutation {
+func shrinkHistory(seed int64, n int, history [][]workload.Mutation, fault *equivFault) [][]workload.Mutation {
 	improved := true
 	for improved {
 		improved = false
@@ -210,7 +375,7 @@ func shrinkHistory(seed int64, n int, history [][]workload.Mutation) [][]workloa
 					}
 					cand[i] = append(append([]workload.Mutation{}, history[i][:mi]...), history[i][mi+1:]...)
 				}
-				d, err := checkEquivalence(seed, n, cand)
+				d, err := checkEquivalence(seed, n, cand, fault)
 				if err == nil && d != "" {
 					history = cand
 					improved = true
@@ -222,17 +387,11 @@ func shrinkHistory(seed int64, n int, history [][]workload.Mutation) [][]workloa
 	return history
 }
 
-// TestDeltaEquivalence is the randomized delta ≡ full-recompute property
-// test over the reference and cohort studies.
-func TestDeltaEquivalence(t *testing.T) {
-	const (
-		seed      = 7
-		n         = 40
-		rounds    = 4
-		batchSize = 12
-	)
-	// Generate the history against a probe universe so each round's batch
-	// targets the record population as it stands after the previous rounds.
+// equivHistory generates a seeded mutation history against a probe
+// universe, so each round's batch targets the record population as it
+// stands after the previous rounds.
+func equivHistory(t *testing.T, seed int64, n, rounds, batchSize int) [][]workload.Mutation {
+	t.Helper()
 	probe, err := buildEquivUniverse(seed, n)
 	if err != nil {
 		t.Fatal(err)
@@ -245,21 +404,45 @@ func TestDeltaEquivalence(t *testing.T) {
 		}
 		history = append(history, batch)
 	}
+	return history
+}
 
-	divergence, err := checkEquivalence(seed, n, history)
+// requireEquivalence fails the test with a shrunk counterexample when the
+// history diverges.
+func requireEquivalence(t *testing.T, seed int64, n int, history [][]workload.Mutation, fault *equivFault) {
+	t.Helper()
+	divergence, err := checkEquivalence(seed, n, history, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if divergence == "" {
 		return
 	}
-	shrunk := shrinkHistory(seed, n, history)
+	shrunk := shrinkHistory(seed, n, history, fault)
 	var trace bytes.Buffer
 	for ri, batch := range shrunk {
 		for _, m := range batch {
 			fmt.Fprintf(&trace, "  round %d: %s\n", ri, m)
 		}
 	}
-	d, _ := checkEquivalence(seed, n, shrunk)
+	d, _ := checkEquivalence(seed, n, shrunk, fault)
 	t.Fatalf("delta refresh diverged from full recompute.\nMinimal history:\n%s\n%s", trace.String(), d)
+}
+
+// TestDeltaEquivalence is the randomized delta ≡ full-recompute property
+// test over the reference and cohort studies.
+func TestDeltaEquivalence(t *testing.T) {
+	const seed, n = 7, 40
+	requireEquivalence(t, seed, n, equivHistory(t, seed, n, 4, 12), nil)
+}
+
+// TestDeltaEquivalenceUnderFaults is the same property over the same
+// seeded history with each injectable fault active in both universes.
+func TestDeltaEquivalenceUnderFaults(t *testing.T) {
+	const seed, n = 7, 40
+	history := equivHistory(t, seed, n, 4, 12)
+	for i := range equivFaults {
+		fault := &equivFaults[i]
+		t.Run(fault.name, func(t *testing.T) { requireEquivalence(t, seed, n, history, fault) })
+	}
 }

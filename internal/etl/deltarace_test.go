@@ -13,7 +13,7 @@ import (
 // TestConcurrentScansDuringDeltaRefresh races the columnar scan path against
 // in-flight delta refreshes: reader goroutines run parallel chunked selects
 // over the warehouse tables while the writer applies mutation batches and
-// patches the warehouse through RefreshDelta. Run under -race; the assertions
+// patches the warehouse through delta refreshes. Run under -race; the assertions
 // are that no scan observes a torn row and that the warehouse still matches a
 // from-scratch rebuild when the dust settles.
 func TestConcurrentScansDuringDeltaRefresh(t *testing.T) {
@@ -30,11 +30,8 @@ func TestConcurrentScansDuringDeltaRefresh(t *testing.T) {
 	w := relstore.NewDB("warehouse")
 	cursors := make(map[string]*etl.DeltaCursors)
 	for _, s := range u.studies {
-		if _, err := s.RefreshContext(ctx, w, etl.RunPolicy{}); err != nil {
-			t.Fatal(err)
-		}
 		cur := etl.NewDeltaCursors()
-		if err := s.SeedDeltaCursors(cur); err != nil {
+		if _, err := s.Refresh(ctx, w, etl.RefreshOptions{Cursors: cur}); err != nil {
 			t.Fatal(err)
 		}
 		cursors[s.Spec.Name] = cur
@@ -86,7 +83,7 @@ func TestConcurrentScansDuringDeltaRefresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range u.studies {
-			if _, err := s.RefreshDelta(ctx, w, etl.DeltaOptions{Cursors: cursors[s.Spec.Name]}); err != nil {
+			if _, err := s.Refresh(ctx, w, etl.RefreshOptions{Mode: etl.DeltaRefresh, Cursors: cursors[s.Spec.Name]}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,7 +94,7 @@ func TestConcurrentScansDuringDeltaRefresh(t *testing.T) {
 	// Convergence: the raced warehouse equals a from-scratch rebuild.
 	fresh := relstore.NewDB("rebuild")
 	for _, s := range u.studies {
-		if _, err := s.RefreshContext(ctx, fresh, etl.RunPolicy{}); err != nil {
+		if _, err := s.Refresh(ctx, fresh, etl.RefreshOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := canonicalBytes(w, s.Output.Table)

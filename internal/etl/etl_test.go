@@ -298,7 +298,7 @@ func TestWorkflowDAG(t *testing.T) {
 	b := w.Add("b", &Query{From: TableRef{"tmp", "A"}, Where: relstore.Cmp(relstore.CmpLt, relstore.Col("K"), relstore.Lit(relstore.Int(2))), To: TableRef{"tmp", "B"}}, a)
 	c := w.Add("c", &Query{From: TableRef{"tmp", "A"}, Where: relstore.Cmp(relstore.CmpGe, relstore.Col("K"), relstore.Lit(relstore.Int(2))), To: TableRef{"tmp", "C"}}, a)
 	w.Add("d", &Union{From: []TableRef{{"tmp", "B"}, {"tmp", "C"}}, To: TableRef{"out", "D"}}, b, c)
-	if err := w.Run(context.Background(), ctx); err != nil {
+	if _, err := w.Execute(context.Background(), ctx, RunPolicy{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ctx.DB("out").Table("D")
@@ -313,14 +313,14 @@ func TestWorkflowDAG(t *testing.T) {
 	w2, ctx2 := mk()
 	w2.Add("x", &Query{From: TableRef{"src", "T"}, To: TableRef{"tmp", "X"}}, "y")
 	w2.Add("y", &Query{From: TableRef{"tmp", "X"}, To: TableRef{"tmp", "Y"}}, "x")
-	if err := w2.Run(context.Background(), ctx2); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := w2.Execute(context.Background(), ctx2, RunPolicy{}, 1); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("cycle must fail: %v", err)
 	}
 
 	// Unknown dependency.
 	w3, ctx3 := mk()
 	w3.Add("x", &Query{From: TableRef{"src", "T"}, To: TableRef{"tmp", "X"}}, "ghost")
-	if err := w3.Run(context.Background(), ctx3); err == nil {
+	if _, err := w3.Execute(context.Background(), ctx3, RunPolicy{}, 1); err == nil {
 		t.Error("unknown dependency must fail")
 	}
 
@@ -328,14 +328,14 @@ func TestWorkflowDAG(t *testing.T) {
 	w4, ctx4 := mk()
 	w4.Add("x", &Query{From: TableRef{"src", "T"}, To: TableRef{"tmp", "X"}})
 	w4.Add("x", &Query{From: TableRef{"src", "T"}, To: TableRef{"tmp", "Y"}})
-	if err := w4.Run(context.Background(), ctx4); err == nil {
+	if _, err := w4.Execute(context.Background(), ctx4, RunPolicy{}, 1); err == nil {
 		t.Error("duplicate IDs must fail")
 	}
 
 	// Empty step ID.
 	w5, ctx5 := mk()
 	w5.Add("", &Query{From: TableRef{"src", "T"}, To: TableRef{"tmp", "X"}})
-	if err := w5.Run(context.Background(), ctx5); err == nil {
+	if _, err := w5.Execute(context.Background(), ctx5, RunPolicy{}, 1); err == nil {
 		t.Error("empty ID must fail")
 	}
 }

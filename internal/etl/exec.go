@@ -13,8 +13,8 @@ import (
 )
 
 // Execute runs the workflow under a RunPolicy and returns a RunReport
-// describing every step's fate. It is the engine beneath Run and
-// RunParallel: a dependency-counting scheduler with per-step retry,
+// describing every step's fate. It is the one workflow engine: a
+// dependency-counting scheduler with per-step retry,
 // per-step and per-workflow deadlines, and — with policy.ContinueOnError —
 // graceful pruning of a failed step's transitive dependents while every
 // independent step still runs.

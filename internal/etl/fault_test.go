@@ -85,7 +85,7 @@ func buildFaultDAG(deps [][]int, failAt int) (*etl.Workflow, *sync.Mutex, map[st
 func stepID(i int) string { return fmt.Sprintf("s%d", i) }
 
 // TestRunParallelFaultInjection injects a permanent failure at every step
-// index of several random DAGs and asserts that RunParallel (a) returns —
+// index of several random DAGs and asserts that a parallel Execute (a) returns —
 // i.e. its WaitGroup drains and no worker is left behind, (b) surfaces the
 // injected error naming the failed step, and (c) under ContinueOnError
 // skips exactly the failed step's transitive dependents while everything
@@ -100,7 +100,7 @@ func TestRunParallelFaultInjection(t *testing.T) {
 			workers := 1 + (dag+failAt)%4
 			// (a)+(b): fail-fast surfaces the first error and returns.
 			w, _, _ := buildFaultDAG(deps, failAt)
-			err := w.RunParallel(context.Background(), etl.NewContext(nil), workers)
+			_, err := w.Execute(context.Background(), etl.NewContext(nil), etl.RunPolicy{}, workers)
 			if err == nil {
 				t.Fatalf("dag %d failAt %d: no error", dag, failAt)
 			}
@@ -189,7 +189,7 @@ func TestExecutePanicContainedAndRetried(t *testing.T) {
 	// A persistent panic fails the step with a contained error.
 	w2 := &etl.Workflow{Name: "panicky2"}
 	w2.Add("boom", &faulty.Chaos{PanicOnAttempt: 1})
-	err = w2.RunParallel(context.Background(), etl.NewContext(nil), 2)
+	_, err = w2.Execute(context.Background(), etl.NewContext(nil), etl.RunPolicy{}, 2)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want contained panic", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,6 +73,11 @@ type Chaos struct {
 	// PoisonColumn names the column PoisonRows nulls out. Empty picks the
 	// table's first column.
 	PoisonColumn string
+	// PoisonKeys, when set, limits PoisonRows to rows whose PoisonColumn
+	// holds one of these values, so the same source records are poisoned
+	// however much of the relation the step's output holds — a key-scoped
+	// run reads only some of it.
+	PoisonKeys []relstore.Value
 
 	mu       sync.Mutex
 	attempts int
@@ -187,8 +193,15 @@ func (c *Chaos) poisonOutput(env *etl.Context) error {
 	if err != nil {
 		return fmt.Errorf("faulty: poison %s: %w", ref, err)
 	}
-	for i := 0; i < c.PoisonRows && i < len(rows.Data); i++ {
-		rows.Data[i][idx] = relstore.Null()
+	poisoned := 0
+	for _, row := range rows.Data {
+		if poisoned == c.PoisonRows {
+			break
+		}
+		if c.PoisonKeys == nil || slices.ContainsFunc(c.PoisonKeys, row[idx].Equal) {
+			row[idx] = relstore.Null()
+			poisoned++
+		}
 	}
 	if err := db.Drop(ref.Table); err != nil {
 		return fmt.Errorf("faulty: poison %s: %w", ref, err)

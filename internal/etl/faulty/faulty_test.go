@@ -91,7 +91,7 @@ func TestChaosForwardsDataflowAndWrapping(t *testing.T) {
 	if got := Wrap(w, "ghost", func(c etl.Component) *Chaos { return &Chaos{Wrapped: c} }); got != nil {
 		t.Fatal("wrap invented a step")
 	}
-	if err := w.Run(context.Background(), env); err != nil {
+	if _, err := w.Execute(context.Background(), env, etl.RunPolicy{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	out, err := env.DB("o").Table("U")

@@ -22,7 +22,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 8} {
-		parallel, err := compiled.RunParallel(context.Background(), workers)
+		parallel, _, err := compiled.RunResilient(context.Background(), RunPolicy{}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,7 +62,7 @@ func TestRunParallelWideFanout(t *testing.T) {
 		deps = append(deps, id)
 	}
 	w.Add("union", &Union{From: branches, To: TableRef{"out", "U"}}, deps...)
-	if err := w.RunParallel(context.Background(), ctx, 4); err != nil {
+	if _, err := w.Execute(context.Background(), ctx, RunPolicy{}, 4); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ctx.DB("out").Table("U")
@@ -92,7 +92,7 @@ func TestRunParallelErrorPropagation(t *testing.T) {
 	w.Add("ok", &Query{From: TableRef{"src", "T"}, To: TableRef{"tmp", "A"}})
 	w.Add("bad", failingComponent{})
 	w.Add("after", &Query{From: TableRef{"tmp", "A"}, To: TableRef{"tmp", "B"}}, "ok", "bad")
-	err := w.RunParallel(context.Background(), ctx, 2)
+	_, err := w.Execute(context.Background(), ctx, RunPolicy{}, 2)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("error = %v", err)
 	}
@@ -100,7 +100,7 @@ func TestRunParallelErrorPropagation(t *testing.T) {
 	w2 := &Workflow{Name: "cyc"}
 	w2.Add("a", failingComponent{}, "b")
 	w2.Add("b", failingComponent{}, "a")
-	if err := w2.RunParallel(context.Background(), ctx, 2); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := w2.Execute(context.Background(), ctx, RunPolicy{}, 2); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle error = %v", err)
 	}
 }

@@ -105,8 +105,12 @@ func dbRowRef(db, table string) sourceRef {
 
 // add dead-letters one row. It returns a budget error — which the caller
 // must propagate as the step's failure — once the run-wide budget is spent;
-// the entry that overflowed is not recorded.
+// the entry that overflowed is not recorded. A nil quarantine (the run has
+// no budget) returns the row's own error, failing the step on it.
 func (q *quarantine) add(ctx context.Context, rule string, cause error, rowKey, rowData string, src sourceRef) error {
+	if q == nil {
+		return fmt.Errorf("%s %s: %w", rule, src.locator, cause)
+	}
 	step := stepIDFrom(ctx)
 	contributor := ""
 	if _, name, ok := strings.Cut(step, "/"); ok {

@@ -11,10 +11,20 @@ import (
 
 // The paper's warehouse receives contributor data periodically ("Data from
 // the CORI software tool is periodically sent for inclusion in the CORI
-// warehouse"). Refresh re-runs a compiled study and merges its output into a
-// persistent warehouse table keyed by (Contributor, EntityKey): new entities
-// insert, changed entities update in place, unchanged entities are left
-// alone — so annotations and downstream extracts can rely on stable history.
+// warehouse"). Refresh re-runs a compiled study and patches its output into
+// a persistent warehouse table keyed by (Contributor, EntityKey): new
+// entities insert, changed entities are replaced, unchanged entities are
+// left alone — so annotations and downstream extracts can rely on stable
+// history.
+//
+// A full refresh runs the study over every key. As the warehouse grows,
+// that cost grows with it even when almost nothing changed, so a delta
+// refresh runs the very same compiled workflow scoped to the keys each
+// contributor's change journal recorded past its cursor (patterns.Journal).
+// Both modes go through Workflow.Execute under the caller's RunPolicy —
+// quarantine, retries, degradation, checkpoints and step spans alike — and
+// both end in the same group-wise patch, so deltaRefresh(w, d) is
+// observationally identical to fullRefresh(apply(w, d)).
 
 // RefreshStats summarizes one warehouse refresh.
 type RefreshStats struct {
@@ -38,161 +48,301 @@ func (s RefreshStats) String() string {
 	return out
 }
 
-// Refresh runs the study and merges its output into warehouse table
-// "Study_<name>", creating it on first refresh. It returns the merge stats.
-func (c *Compiled) Refresh(warehouse *relstore.DB) (RefreshStats, error) {
-	return c.RefreshContext(context.Background(), warehouse, RunPolicy{})
+// add accumulates o into s.
+func (s *RefreshStats) add(o RefreshStats) {
+	s.Added += o.Added
+	s.Updated += o.Updated
+	s.Unchanged += o.Unchanged
+	s.Removed += o.Removed
+	s.Total += o.Total
 }
 
-// RefreshContext is Refresh under a RunPolicy: the study re-runs through the
-// resilient executor (retries, timeouts, quarantine, checkpoints, graceful
-// degradation all apply), honoring ctx cancellation, and the output merges
-// into the warehouse. A degraded run merges only the surviving contributors'
-// rows; a dead contributor's existing warehouse history is left untouched,
-// never deleted — the stable-history contract of the CORI warehouse. For
-// contributors that did run, the warehouse converges to the study output:
-// entities the run no longer produces (deprecated rows, entities that fell
-// out of the selection) are removed from their groups.
+// RefreshMode picks the keys a refresh recomputes.
+type RefreshMode int
+
+const (
+	// FullRefresh runs the study over every key of every contributor.
+	FullRefresh RefreshMode = iota
+	// DeltaRefresh runs it over only the keys each contributor's change
+	// journal recorded past its cursor.
+	DeltaRefresh
+)
+
+// RefreshHooks are test seams around each contributor's warehouse patch.
+// BeforeApply runs before any write lands; AfterApply runs after the patch
+// but before the cursor advances — an error from either aborts the refresh
+// with that contributor's cursor unmoved, so a resumed run re-reads and
+// re-applies the same window (the patch is idempotent).
+type RefreshHooks struct {
+	BeforeApply func(contributor string) error
+	AfterApply  func(contributor string) error
+}
+
+// RefreshOptions configures one Refresh.
+type RefreshOptions struct {
+	Mode RefreshMode
+	// Policy governs the workflow run: retries, timeouts, quarantine,
+	// checkpoints and contributor degradation.
+	Policy RunPolicy
+	// Cursors are the study's applied journal positions. A delta requires
+	// them: it reads the journals past them. Either mode advances the
+	// cursor of every contributor it patched to the journal position read
+	// before the run, so an entry landing mid-run is picked up by the next
+	// delta (re-applying what the run already saw is idempotent).
+	Cursors *DeltaCursors
+	// Hooks wrap each contributor's warehouse patch.
+	Hooks RefreshHooks
+}
+
+// RefreshReport summarizes one refresh. For a delta, Added, Updated and
+// Removed match what a full refresh over the same warehouse would report,
+// while Unchanged and Total count only the rows re-derived (a full refresh
+// also counts every untouched row).
+type RefreshReport struct {
+	Stats RefreshStats
+	// Keys is the number of distinct changed instance keys a delta
+	// consumed.
+	Keys int
+	// ByContributor breaks the stats down per patched contributor.
+	ByContributor map[string]RefreshStats
+	// Run is the workflow's report: per-step fates, quarantined rows,
+	// degraded contributors. Nil when a delta found no changed key.
+	Run *RunReport
+}
+
+// Refresh runs the study under opts.Policy and patches its output into the
+// warehouse table "Study_<name>", creating it on first refresh. A delta
+// scopes the run to the journal keys past each contributor's cursor (every
+// contributor must then expose a DeltaSource, or ErrNoDeltaSource is
+// returned), and a delta with no changed key runs nothing at all.
 //
-// The merge publishes refresh.runs/added/updated/unchanged counters into the
-// metrics registry carried by ctx (obs.MetricsFrom), so both the batch CLI
-// and the serving daemon account refresh traffic the same way.
-func (c *Compiled) RefreshContext(ctx context.Context, warehouse *relstore.DB, policy RunPolicy) (RefreshStats, error) {
-	var stats RefreshStats
-	ctx, span := obs.StartSpan(ctx, "refresh "+c.Spec.Name, obs.String("study", c.Spec.Name))
-	var err error
+// The patch goes contributor by contributor (see patch). A contributor
+// whose chain failed under ContinueOnError keeps its warehouse history and
+// its cursor — its absence from the output means "didn't run", not "has
+// no data" — so the next refresh re-reads it. In a delta, a contributor
+// with no changed key is not patched either; its cursor just advances.
+//
+// The refresh runs inside a "refresh <study>" span ("refresh-delta
+// <study>" for a delta) and publishes refresh.* (refresh.delta.*) counters
+// into the metrics registry carried by ctx (obs.MetricsFrom), so the batch
+// CLI and the serving daemon account refresh traffic the same way.
+func (c *Compiled) Refresh(ctx context.Context, warehouse *relstore.DB, opts RefreshOptions) (_ *RefreshReport, err error) {
+	delta := opts.Mode == DeltaRefresh
+	spanName := "refresh "
+	if delta {
+		spanName = "refresh-delta "
+	}
+	ctx, span := obs.StartSpan(ctx, spanName+c.Spec.Name, obs.String("study", c.Spec.Name))
 	defer func() { span.EndErr(err) }()
-	var fresh *relstore.Rows
-	var runReport *RunReport
-	fresh, runReport, err = c.RunResilient(ctx, policy, 0)
+
+	scope, marks, err := c.journalWindow(opts)
 	if err != nil {
-		return stats, err
+		return nil, err
 	}
-	table, err := warehouse.EnsureTable(c.Output.Table, fresh.Schema)
+	report := &RefreshReport{ByContributor: make(map[string]RefreshStats)}
+	for _, keys := range scope {
+		report.Keys += len(keys)
+	}
+	fresh := map[string][]relstore.Row{}
+	degraded := map[string]bool{}
+	if !delta || report.Keys > 0 {
+		var rows *relstore.Rows
+		rows, report.Run, err = c.run(ctx, opts.Policy, 0, scope)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rows.Data {
+			name := r[1].AsString()
+			fresh[name] = append(fresh[name], r)
+		}
+		for _, name := range report.Run.DegradedContributors {
+			degraded[name] = true
+		}
+	}
+
+	outSchema, err := c.Spec.OutputSchema()
 	if err != nil {
-		return stats, err
+		return nil, err
 	}
-	stats, err = Merge(table, fresh, runReport.DegradedContributors...)
+	table, err := warehouse.EnsureTable(c.Output.Table, outSchema)
 	if err != nil {
-		return stats, err
+		return nil, err
 	}
+	if delta {
+		// A delta patch probes by entity key within a contributor; a full
+		// patch reads whole contributors, which needs no entity-key index.
+		for _, col := range []string{EntityKeyColumn, ContributorColumn} {
+			if err := table.CreateIndex(col); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, ct := range c.Spec.Contributors {
+		if degraded[ct.Name] {
+			continue
+		}
+		if keys := scope[ct.Name]; !delta || len(keys) > 0 {
+			if err := callHook(opts.Hooks.BeforeApply, ct.Name); err != nil {
+				return nil, err
+			}
+			stats, err := patch(table, ct.Name, fresh[ct.Name], keys)
+			if err != nil {
+				return nil, err
+			}
+			if err := callHook(opts.Hooks.AfterApply, ct.Name); err != nil {
+				return nil, err
+			}
+			report.ByContributor[ct.Name] = stats
+			report.Stats.add(stats)
+		}
+		if mark, ok := marks[ct.Name]; ok {
+			opts.Cursors.Set(ct.Name, mark)
+		}
+	}
+
+	s := report.Stats
 	m := obs.MetricsFrom(ctx)
-	m.Counter("refresh.runs").Inc()
-	m.Counter("refresh.added").Add(int64(stats.Added))
-	m.Counter("refresh.updated").Add(int64(stats.Updated))
-	m.Counter("refresh.unchanged").Add(int64(stats.Unchanged))
-	m.Counter("refresh.removed").Add(int64(stats.Removed))
-	span.SetAttr(obs.Int("added", int64(stats.Added)), obs.Int("updated", int64(stats.Updated)),
-		obs.Int("unchanged", int64(stats.Unchanged)), obs.Int("removed", int64(stats.Removed)))
-	return stats, nil
-}
-
-// refreshKey is the merge identity: (Contributor, EntityKey), read off the
-// fixed leading columns of every compiled study output.
-func refreshKey(r relstore.Row) string {
-	return r[1].Key() + "\x1f" + r[0].Key()
-}
-
-// Merge merges a freshly computed study relation into the warehouse table,
-// grouping both sides by (Contributor, EntityKey) and comparing the groups
-// as sorted multisets. Comparing whole groups — not row-by-row against a
-// point-in-time map — keeps the merge deterministic and convergent even
-// when an entity key legitimately maps to several output rows (a has-a
-// child join): re-merging identical input is always a no-op, whatever order
-// the union produced the duplicates in.
-//
-// After patching the fresh groups, Merge removes warehouse groups the run no
-// longer produced — a deprecated entity's rows must not survive a refresh, or
-// the warehouse diverges from what a from-scratch run would build. The
-// exception is degraded contributors: pass the names of contributors whose
-// chains failed (RunReport.DegradedContributors) as keepContributors and
-// their existing history is preserved verbatim, since their absence from the
-// fresh output means "didn't run", not "has no data".
-//
-// Merge is exported separately from RefreshContext so a serving layer can
-// run the (expensive) study outside its warehouse write lock and hold the
-// lock only for this merge.
-func Merge(table *relstore.Table, fresh *relstore.Rows, keepContributors ...string) (RefreshStats, error) {
-	var stats RefreshStats
-	stats.Total = fresh.Len()
-
-	// Group keys on both sides are extracted through the columnar batch
-	// kernel — key-string building dominates a large merge, and each row's
-	// key is independent, so it fans out across relstore's worker pool while
-	// the ordered grouping below stays sequential and deterministic.
-	snapshot := table.Rows()
-	existingKeys := relstore.ParallelRowKeys(snapshot.Data, refreshKey)
-	existing := map[string][]relstore.Row{}
-	for i, r := range snapshot.Data {
-		existing[existingKeys[i]] = append(existing[existingKeys[i]], r)
+	if delta {
+		m.Counter("refresh.delta.runs").Inc()
+		m.Counter("refresh.delta.keys").Add(int64(report.Keys))
+		m.Counter("refresh.delta.added").Add(int64(s.Added))
+		m.Counter("refresh.delta.updated").Add(int64(s.Updated))
+		m.Counter("refresh.delta.unchanged").Add(int64(s.Unchanged))
+		m.Counter("refresh.delta.removed").Add(int64(s.Removed))
+		if report.Keys == 0 {
+			m.Counter("refresh.delta.empty").Inc()
+		}
+		span.SetAttr(obs.Int("keys", int64(report.Keys)))
+	} else {
+		m.Counter("refresh.runs").Inc()
+		m.Counter("refresh.added").Add(int64(s.Added))
+		m.Counter("refresh.updated").Add(int64(s.Updated))
+		m.Counter("refresh.unchanged").Add(int64(s.Unchanged))
+		m.Counter("refresh.removed").Add(int64(s.Removed))
 	}
+	span.SetAttr(obs.Int("added", int64(s.Added)), obs.Int("updated", int64(s.Updated)),
+		obs.Int("unchanged", int64(s.Unchanged)), obs.Int("removed", int64(s.Removed)))
+	return report, nil
+}
 
-	freshKeys := relstore.ParallelRowKeys(fresh.Data, refreshKey)
+// journalWindow reads, per contributor, the journal position its cursor
+// advances to once the refresh patched it and — for a delta — the keys
+// recorded past its current cursor, which scope the run. A full refresh
+// has a nil scope (every key) and reads positions only when it has cursors
+// to advance. Positions are read before the run, so anything the run sees
+// is at or below them.
+func (c *Compiled) journalWindow(opts RefreshOptions) (scope map[string][]relstore.Value, marks map[string]int64, err error) {
+	delta := opts.Mode == DeltaRefresh
+	if opts.Cursors == nil {
+		if delta {
+			return nil, nil, fmt.Errorf("etl: delta refresh of %q needs RefreshOptions.Cursors", c.Spec.Name)
+		}
+		return nil, nil, nil
+	}
+	marks = make(map[string]int64, len(c.Spec.Contributors))
+	if delta {
+		scope = make(map[string][]relstore.Value, len(c.Spec.Contributors))
+	}
+	for _, ct := range c.Spec.Contributors {
+		src := ct.DeltaSource()
+		switch {
+		case src == nil && delta:
+			return nil, nil, fmt.Errorf("etl: contributor %q: %w", ct.Name, ErrNoDeltaSource)
+		case src == nil:
+			continue
+		case delta:
+			keys, mark, err := src.ChangedSince(opts.Cursors.Get(ct.Name))
+			if err != nil {
+				return nil, nil, fmt.Errorf("etl: delta %q: %w", ct.Name, err)
+			}
+			scope[ct.Name], marks[ct.Name] = keys, mark
+		default:
+			mark, err := src.HighWaterMark()
+			if err != nil {
+				return nil, nil, fmt.Errorf("etl: journal position %q: %w", ct.Name, err)
+			}
+			marks[ct.Name] = mark
+		}
+	}
+	return scope, marks, nil
+}
+
+// callHook runs a refresh hook when it is set.
+func callHook(hook func(contributor string) error, contributor string) error {
+	if hook == nil {
+		return nil
+	}
+	return hook(contributor)
+}
+
+// patch applies one contributor's freshly derived rows to the warehouse
+// table: the one patch full and delta refreshes share. keys scopes it — nil
+// covers the contributor's whole history, otherwise only those entity
+// keys' groups. Both sides are grouped by entity key and the groups
+// compared as multisets, so an entity owning several rows (a has-a child
+// join) re-patches to a no-op whatever order the union produced them in:
+// absent groups insert, identical groups stay, changed groups are replaced,
+// and existing groups the run no longer produced (the entity was
+// deprecated, or fell out of the selection) are removed, keeping the
+// warehouse convergent with a from-scratch build. Every removal lands in one
+// Delete and every new row in one InsertAll.
+func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys []relstore.Value) (RefreshStats, error) {
+	contrib := relstore.Str(contributor)
+	var scope relstore.Pred = relstore.Eq(ContributorColumn, contrib)
+	if keys != nil {
+		scope = relstore.And(relstore.In(relstore.Col(EntityKeyColumn), keys...), scope)
+	}
+	existing, err := table.Select(scope)
+	if err != nil {
+		return RefreshStats{}, err
+	}
+	old := map[string][]relstore.Row{}
+	for _, r := range existing.Data {
+		old[r[0].Key()] = append(old[r[0].Key()], r)
+	}
 	var order []string
 	groups := map[string][]relstore.Row{}
-	for i, r := range fresh.Data {
-		k := freshKeys[i]
+	for _, r := range fresh {
+		k := r[0].Key()
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
 		groups[k] = append(groups[k], r)
 	}
 
+	stats := RefreshStats{Total: len(fresh)}
+	var doomed []relstore.Value
+	var toInsert []relstore.Row
 	for _, k := range order {
 		group := groups[k]
-		old, ok := existing[k]
-		if !ok {
-			if err := table.InsertAll(group); err != nil {
-				return stats, err
-			}
+		prev, ok := old[k]
+		delete(old, k)
+		switch {
+		case !ok:
+			toInsert = append(toInsert, group...)
 			stats.Added += len(group)
-			continue
-		}
-		if sameRowSet(old, group) {
+		case sameRowSet(prev, group):
 			stats.Unchanged += len(group)
-			continue
+		default:
+			doomed = append(doomed, group[0][0])
+			toInsert = append(toInsert, group...)
+			stats.Updated += len(group)
 		}
-		pred := relstore.And(
-			relstore.Eq(ContributorColumn, group[0][1]),
-			relstore.Eq(EntityKeyColumn, group[0][0]),
-		)
-		if _, err := table.Delete(pred); err != nil {
+	}
+	for _, prev := range old {
+		doomed = append(doomed, prev[0][0])
+		stats.Removed += len(prev)
+	}
+	if len(doomed) > 0 {
+		if _, err := table.Delete(relstore.And(relstore.In(relstore.Col(EntityKeyColumn), doomed...),
+			relstore.Eq(ContributorColumn, contrib))); err != nil {
 			return stats, err
 		}
-		if err := table.InsertAll(group); err != nil {
+	}
+	if len(toInsert) > 0 {
+		if err := table.InsertAll(toInsert); err != nil {
 			return stats, err
 		}
-		stats.Updated += len(group)
-	}
-
-	// Stale groups: present in the warehouse, absent from the fresh run.
-	// Deleting them keeps the warehouse convergent with a from-scratch
-	// build, except for contributors the run degraded past.
-	keep := make(map[string]bool, len(keepContributors))
-	for _, name := range keepContributors {
-		keep[relstore.Str(name).Key()] = true
-	}
-	var stale []string
-	for k, old := range existing {
-		if _, live := groups[k]; live {
-			continue
-		}
-		if keep[old[0][1].Key()] {
-			continue
-		}
-		stale = append(stale, k)
-	}
-	sort.Strings(stale)
-	for _, k := range stale {
-		old := existing[k]
-		pred := relstore.And(
-			relstore.Eq(ContributorColumn, old[0][1]),
-			relstore.Eq(EntityKeyColumn, old[0][0]),
-		)
-		if _, err := table.Delete(pred); err != nil {
-			return stats, err
-		}
-		stats.Removed += len(old)
 	}
 	return stats, nil
 }

@@ -21,7 +21,7 @@ func TestRefreshLifecycle(t *testing.T) {
 	}
 	warehouse := relstore.NewDB("warehouse")
 
-	stats, err := compiled.Refresh(warehouse)
+	stats, err := StatsOf(compiled.Refresh(context.Background(), warehouse, RefreshOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestRefreshLifecycle(t *testing.T) {
 		t.Fatalf("first refresh = %+v", stats)
 	}
 
-	stats, err = compiled.Refresh(warehouse)
+	stats, err = StatsOf(compiled.Refresh(context.Background(), warehouse, RefreshOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRefreshLifecycle(t *testing.T) {
 	if _, err := clinicA.Stack.Update(clinicA.DB, clinicA.Form, relstore.Int(1), "PacksPerDay", relstore.Float(3)); err != nil {
 		t.Fatal(err)
 	}
-	stats, err = compiled.Refresh(warehouse)
+	stats, err = StatsOf(compiled.Refresh(context.Background(), warehouse, RefreshOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRefreshContextCancellation(t *testing.T) {
 	warehouse := relstore.NewDB("warehouse")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := compiled.RefreshContext(ctx, warehouse, RunPolicy{}); err == nil {
+	if _, err := compiled.Refresh(ctx, warehouse, RefreshOptions{}); err == nil {
 		t.Fatal("refresh under a canceled context must fail")
 	}
 	if warehouse.Has("Study_exsmoker") {
@@ -100,7 +100,7 @@ func TestRefreshContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRefreshContextMetrics: the merge publishes refresh.* counters into the
+// TestRefreshContextMetrics: the refresh publishes refresh.* counters into the
 // registry carried by the context.
 func TestRefreshContextMetrics(t *testing.T) {
 	spec := studyFixture(t)
@@ -111,7 +111,7 @@ func TestRefreshContextMetrics(t *testing.T) {
 	warehouse := relstore.NewDB("warehouse")
 	o := obs.NewObserver()
 	ctx := obs.WithObserver(context.Background(), o)
-	stats, err := compiled.RefreshContext(ctx, warehouse, RunPolicy{})
+	stats, err := StatsOf(compiled.Refresh(ctx, warehouse, RefreshOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRefreshContextMetrics(t *testing.T) {
 	if got := o.Metrics.Counter("refresh.runs").Value(); got != 1 {
 		t.Errorf("refresh.runs = %d, want 1", got)
 	}
-	stats, err = compiled.RefreshContext(ctx, warehouse, RunPolicy{})
+	stats, err = StatsOf(compiled.Refresh(ctx, warehouse, RefreshOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMergeDeterministicUnderDuplicateKeys(t *testing.T) {
 	fresh := dupKeyRows(t, "polyp", "ulcer")
 	table := relstore.NewTable("Study_x", fresh.Schema)
 
-	stats, err := Merge(table, fresh)
+	stats, err := MergeForTest(table, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMergeDeterministicUnderDuplicateKeys(t *testing.T) {
 	// Identical content, opposite order: still a no-op.
 	again := dupKeyRows(t, "ulcer", "polyp")
 	for i := 0; i < 3; i++ {
-		stats, err = Merge(table, again)
+		stats, err = MergeForTest(table, again)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,14 +188,14 @@ func TestMergeDeterministicUnderDuplicateKeys(t *testing.T) {
 
 	// A genuine change rewrites the whole group exactly once, then settles.
 	changed := dupKeyRows(t, "polyp", "biopsy")
-	stats, err = Merge(table, changed)
+	stats, err = MergeForTest(table, changed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Updated != 2 || stats.Added != 0 {
 		t.Fatalf("changed merge = %+v, want 2 updated", stats)
 	}
-	stats, err = Merge(table, changed)
+	stats, err = MergeForTest(table, changed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestMergeDeterministicUnderDuplicateKeys(t *testing.T) {
 }
 
 // TestEmptyDeltaRefreshNoWrites is the regression test for the empty-delta
-// path: a RefreshDelta with nothing past the cursors must report zero
+// path: a delta refresh with nothing past the cursors must report zero
 // Added/Updated (Changed() false — the signal serving layers use to keep
 // their result-cache generation, and with it every cached extract) and must
 // leave the warehouse bit-identical.
@@ -220,11 +220,8 @@ func TestEmptyDeltaRefreshNoWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	warehouse := relstore.NewDB("warehouse")
-	if _, err := compiled.Refresh(warehouse); err != nil {
-		t.Fatal(err)
-	}
 	cursors := NewDeltaCursors()
-	if err := compiled.SeedDeltaCursors(cursors); err != nil {
+	if _, err := compiled.Refresh(context.Background(), warehouse, RefreshOptions{Cursors: cursors}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,7 +230,7 @@ func TestEmptyDeltaRefreshNoWrites(t *testing.T) {
 	if _, err := ca.Stack.Update(ca.DB, ca.Form, relstore.Int(2), "PacksPerDay", relstore.Float(7)); err != nil {
 		t.Fatal(err)
 	}
-	report, err := compiled.RefreshDelta(ctx, warehouse, DeltaOptions{Cursors: cursors})
+	report, err := compiled.Refresh(ctx, warehouse, RefreshOptions{Mode: DeltaRefresh, Cursors: cursors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +249,7 @@ func TestEmptyDeltaRefreshNoWrites(t *testing.T) {
 	beforeCursors := cursors.Snapshot()
 
 	// Nothing has changed since: the delta must be empty and writeless.
-	report, err = compiled.RefreshDelta(ctx, warehouse, DeltaOptions{Cursors: cursors})
+	report, err = compiled.Refresh(ctx, warehouse, RefreshOptions{Mode: DeltaRefresh, Cursors: cursors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +273,49 @@ func TestEmptyDeltaRefreshNoWrites(t *testing.T) {
 	}
 	if got := cursors.Snapshot(); !reflect.DeepEqual(got, beforeCursors) {
 		t.Fatalf("empty delta moved cursors: %v -> %v", beforeCursors, got)
+	}
+}
+
+// TestScopedRunCheckpointsApart: a delta's key-scoped run checkpoints
+// under a key digesting its scope, so it never restores the step tables a
+// full run checkpointed under the plan's fingerprint.
+func TestScopedRunCheckpointsApart(t *testing.T) {
+	ctx := context.Background()
+	spec := studyFixture(t)
+	for _, c := range spec.Contributors {
+		c.Stack.Journal = patterns.NewJournal()
+	}
+	compiled, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemCheckpointer()
+	policy := RunPolicy{Checkpoint: store}
+	cursors := NewDeltaCursors()
+	warehouse := relstore.NewDB("warehouse")
+	if _, err := compiled.Refresh(ctx, warehouse, RefreshOptions{Policy: policy, Cursors: cursors}); err != nil {
+		t.Fatal(err)
+	}
+	saved := store.Len(compiled.Fingerprint())
+	if saved == 0 {
+		t.Fatal("full refresh checkpointed nothing under the plan's fingerprint")
+	}
+
+	ca := spec.Contributors[0]
+	if _, err := ca.Stack.Update(ca.DB, ca.Form, relstore.Int(2), "PacksPerDay", relstore.Float(7)); err != nil {
+		t.Fatal(err)
+	}
+	report, err := compiled.Refresh(ctx, warehouse, RefreshOptions{Mode: DeltaRefresh, Policy: policy, Cursors: cursors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored := report.Run.Restored(); len(restored) != 0 {
+		t.Fatalf("delta restored the full run's checkpoints: %v", restored)
+	}
+	if report.Stats.Updated != 1 {
+		t.Fatalf("delta = %+v, want the update applied", report.Stats)
+	}
+	if got := store.Len(compiled.Fingerprint()); got != saved {
+		t.Fatalf("delta wrote into the full run's checkpoints: %d -> %d", saved, got)
 	}
 }

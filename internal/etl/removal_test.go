@@ -33,13 +33,13 @@ func studyRows(t *testing.T, triples ...[3]string) *relstore.Rows {
 func TestMergeRemovesStaleGroups(t *testing.T) {
 	first := studyRows(t, [3]string{"1", "clinicA", "polyp"}, [3]string{"2", "clinicA", "ulcer"})
 	table := relstore.NewTable("Study_x", first.Schema)
-	if _, err := etl.Merge(table, first); err != nil {
+	if _, err := etl.MergeForTest(table, first); err != nil {
 		t.Fatal(err)
 	}
 
 	// Entity 2 vanished from the run.
 	second := studyRows(t, [3]string{"1", "clinicA", "polyp"})
-	stats, err := etl.Merge(table, second)
+	stats, err := etl.MergeForTest(table, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMergeRemovesStaleGroups(t *testing.T) {
 	}
 
 	// Convergent: re-merging the same input is a no-op.
-	stats, err = etl.Merge(table, second)
+	stats, err = etl.MergeForTest(table, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestMergeRemovesStaleGroups(t *testing.T) {
 func TestMergeKeepsDegradedContributorHistory(t *testing.T) {
 	first := studyRows(t, [3]string{"1", "clinicA", "polyp"}, [3]string{"2", "clinicB", "ulcer"})
 	table := relstore.NewTable("Study_x", first.Schema)
-	if _, err := etl.Merge(table, first); err != nil {
+	if _, err := etl.MergeForTest(table, first); err != nil {
 		t.Fatal(err)
 	}
 
 	// clinicB degraded: its rows are absent from fresh but must survive.
 	fresh := studyRows(t, [3]string{"1", "clinicA", "polyp"})
-	stats, err := etl.Merge(table, fresh, "clinicB")
+	stats, err := etl.MergeForTest(table, fresh, "clinicB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMergeKeepsDegradedContributorHistory(t *testing.T) {
 	}
 
 	// Without the protection the same input deletes the stale group.
-	stats, err = etl.Merge(table, fresh)
+	stats, err = etl.MergeForTest(table, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRefreshPreservesDegradedContributorHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	warehouse := relstore.NewDB("warehouse")
-	if _, err := compiled.Refresh(warehouse); err != nil {
+	if _, err := compiled.Refresh(context.Background(), warehouse, etl.RefreshOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	table, err := warehouse.Table(compiled.Output.Table)
@@ -133,7 +133,7 @@ func TestRefreshPreservesDegradedContributorHistory(t *testing.T) {
 		t.Fatal("extract/clinicB not found")
 	}
 	policy := etl.RunPolicy{MaxAttempts: 1, ContinueOnError: true}
-	stats, err := compiled.RefreshContext(context.Background(), warehouse, policy)
+	stats, err := etl.StatsOf(compiled.Refresh(context.Background(), warehouse, etl.RefreshOptions{Policy: policy}))
 	if err != nil {
 		t.Fatalf("degraded refresh failed outright: %v", err)
 	}
@@ -160,11 +160,8 @@ func TestDeltaRefreshRemovesDeprecatedEntities(t *testing.T) {
 		t.Fatal(err)
 	}
 	warehouse := relstore.NewDB("warehouse")
-	if _, err := compiled.Refresh(warehouse); err != nil {
-		t.Fatal(err)
-	}
 	cursors := etl.NewDeltaCursors()
-	if err := compiled.SeedDeltaCursors(cursors); err != nil {
+	if _, err := compiled.Refresh(context.Background(), warehouse, etl.RefreshOptions{Cursors: cursors}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,7 +170,7 @@ func TestDeltaRefreshRemovesDeprecatedEntities(t *testing.T) {
 	if _, err := ca.Stack.Deprecate(ca.DB, ca.Form, relstore.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	report, err := compiled.RefreshDelta(ctx, warehouse, etl.DeltaOptions{Cursors: cursors})
+	report, err := compiled.Refresh(ctx, warehouse, etl.RefreshOptions{Mode: etl.DeltaRefresh, Cursors: cursors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +194,7 @@ func TestDeltaRefreshRemovesDeprecatedEntities(t *testing.T) {
 
 	// Equivalence anchor: the patched warehouse matches a from-scratch build.
 	scratch := relstore.NewDB("scratch")
-	if _, err := compiled.Refresh(scratch); err != nil {
+	if _, err := compiled.Refresh(context.Background(), scratch, etl.RefreshOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := scratch.Table(compiled.Output.Table)

@@ -151,7 +151,7 @@ func TestTextQuarantineBudgetDegrades(t *testing.T) {
 }
 
 // TestTextAppendDeltaEqualsFull: reports appended after the initial full
-// refresh are journaled, so an incremental RefreshDelta run patches the
+// refresh are journaled, so an incremental delta refresh patches the
 // warehouse into exactly the state a from-scratch full recompute reaches —
 // canonical bytes equal.
 func TestTextAppendDeltaEqualsFull(t *testing.T) {
@@ -172,15 +172,12 @@ func TestTextAppendDeltaEqualsFull(t *testing.T) {
 	// Delta universe: full refresh, pin cursors, append, delta refresh.
 	dc, dstudy := buildMixed(t, seed, n, 0)
 	dw := relstore.NewDB("warehouse_delta")
-	if _, err := dstudy.RefreshContext(ctx, dw, etl.RunPolicy{}); err != nil {
-		t.Fatal(err)
-	}
 	cursors := etl.NewDeltaCursors()
-	if err := dstudy.SeedDeltaCursors(cursors); err != nil {
+	if _, err := dstudy.Refresh(ctx, dw, etl.RefreshOptions{Cursors: cursors}); err != nil {
 		t.Fatal(err)
 	}
 	appendReports(dc)
-	report, err := dstudy.RefreshDelta(ctx, dw, etl.DeltaOptions{Cursors: cursors})
+	report, err := dstudy.Refresh(ctx, dw, etl.RefreshOptions{Mode: etl.DeltaRefresh, Cursors: cursors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +189,7 @@ func TestTextAppendDeltaEqualsFull(t *testing.T) {
 	fc, fstudy := buildMixed(t, seed, n, 0)
 	appendReports(fc)
 	fw := relstore.NewDB("warehouse_full")
-	if _, err := fstudy.RefreshContext(ctx, fw, etl.RunPolicy{}); err != nil {
+	if _, err := fstudy.Refresh(ctx, fw, etl.RefreshOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,7 +1,6 @@
 package etl
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
@@ -79,35 +78,6 @@ func (w *Workflow) order() ([]*Step, error) {
 		}
 	}
 	return out, nil
-}
-
-// Run executes the workflow serially in dependency order. ctx cancellation
-// is checked between steps and passed into each component.
-func (w *Workflow) Run(ctx context.Context, env *Context) error {
-	steps, err := w.order()
-	if err != nil {
-		return err
-	}
-	for _, s := range steps {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("etl: workflow %q: %w", w.Name, err)
-		}
-		if err := s.Component.Run(ctx, env); err != nil {
-			return fmt.Errorf("etl: workflow %q step %q: %w", w.Name, s.ID, err)
-		}
-	}
-	return nil
-}
-
-// RunParallel executes the workflow with independent steps running
-// concurrently — the per-contributor chains of a compiled study share no
-// state until the final union, so they parallelize perfectly. workers bounds
-// concurrency (<= 0 means one goroutine per ready step). The first step
-// error aborts scheduling and is returned. For retries, timeouts, and
-// partial-failure handling, use Execute with a RunPolicy.
-func (w *Workflow) RunParallel(ctx context.Context, env *Context, workers int) error {
-	_, err := w.Execute(ctx, env, RunPolicy{}, workers)
-	return err
 }
 
 // reader and writer are implemented by components that declare their table

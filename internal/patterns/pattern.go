@@ -22,6 +22,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 
 	"guava/internal/relstore"
@@ -85,10 +86,11 @@ type Transform interface {
 	AdaptUpdate(db *relstore.DB, outer, inner FormInfo, col string, v relstore.Value) (string, relstore.Value, error)
 }
 
-// KeyedReader is the optional fast path behind Stack.ReadKeys: a Layout
-// that can reconstruct only the records with the given instance keys
-// (index probes instead of a full relation rebuild). Layouts without it
-// fall back to Read plus a key-membership filter.
+// KeyedReader is the optional fast path behind a key-scoped
+// Stack.ReadDiverting: a Layout that can reconstruct only the records with
+// the given instance keys (index probes instead of a full relation
+// rebuild). Layouts without it fall back to Read plus a key-membership
+// filter.
 type KeyedReader interface {
 	ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error)
 }
@@ -189,70 +191,17 @@ func (s *Stack) WriteRow(db *relstore.DB, form FormInfo, row relstore.Row) error
 	return nil
 }
 
-// Read reconstructs the naive relation, with column order and types conformed
-// exactly to the form's naive schema.
+// Read reconstructs the whole naive relation, conformed exactly to the
+// form's naive schema. It is ReadDiverting with no key scope, failing on
+// the first source miss.
 func (s *Stack) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
-	infos, err := s.adaptAll(form)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := s.Layout.Read(db, infos[len(infos)-1])
-	if err != nil {
-		return nil, fmt.Errorf("patterns: read %s: %w", s.Layout.Name(), err)
-	}
-	for i := len(s.Transforms) - 1; i >= 0; i-- {
-		rows, err = s.Transforms[i].Decode(db, infos[i], infos[i+1], rows)
-		if err != nil {
-			return nil, fmt.Errorf("patterns: decode %s: %w", s.Transforms[i].Name(), err)
-		}
-	}
-	return Conform(rows, form.Schema)
+	return strict(s.ReadDiverting(context.Background(), db, form, nil))
 }
 
-// ReadKeys reconstructs only the records with the given instance keys,
-// conformed to the naive schema exactly like Read. Keyed layouts probe
-// their key indexes; other layouts fall back to a full read filtered by
-// key membership. Duplicate and NULL keys are dropped, so the result is a
-// function of the key set. The delta-refresh contract this leans on: every
-// transform preserves the key column's values (true of all Table 1
-// transforms — they rename or re-encode non-key answers, never instance
-// keys), so filtering at the layout level selects exactly the outer-level
-// records. Records deprecated through Audit decode to nothing, yielding an
-// empty group for their key.
+// ReadKeys is Read limited to the records with the given instance keys
+// (see ReadDiverting); no keys read nothing.
 func (s *Stack) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
-	infos, err := s.adaptAll(form)
-	if err != nil {
-		return nil, err
-	}
-	inner := infos[len(infos)-1]
-	uniq := make([]relstore.Value, 0, len(keys))
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if k.IsNull() || seen[k.Key()] {
-			continue
-		}
-		seen[k.Key()] = true
-		uniq = append(uniq, k)
-	}
-	var rows *relstore.Rows
-	if kr, ok := s.Layout.(KeyedReader); ok {
-		rows, err = kr.ReadKeys(db, inner, uniq)
-	} else {
-		rows, err = s.Layout.Read(db, inner)
-		if err == nil {
-			rows, err = relstore.Select(rows, relstore.In(relstore.Col(inner.KeyColumn), uniq...))
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("patterns: read-keys %s: %w", s.Layout.Name(), err)
-	}
-	for i := len(s.Transforms) - 1; i >= 0; i-- {
-		rows, err = s.Transforms[i].Decode(db, infos[i], infos[i+1], rows)
-		if err != nil {
-			return nil, fmt.Errorf("patterns: decode %s: %w", s.Transforms[i].Name(), err)
-		}
-	}
-	return Conform(rows, form.Schema)
+	return strict(s.ReadDiverting(context.Background(), db, form, append([]relstore.Value{}, keys...)))
 }
 
 // Query reads the naive relation, filters it with pred, and projects the

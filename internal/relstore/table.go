@@ -384,34 +384,48 @@ func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int,
 
 // probeLocked returns the candidate storage positions, ascending, that a
 // hash-index probe yields for pred: the rows whose indexed column shares a
-// hash key with the literal of an equality conjunct or, failing that, with
-// one of the literals of an IN conjunct. Keys can collide — integers past
-// 2^53 share their float64 key — so candidates are a superset and callers
-// evaluate the whole of pred on each. ok is false when no conjunct is
-// indexable. Callers must hold t.mu.
+// hash key with the literal of an equality conjunct or with one of the
+// literals of an IN conjunct — whichever indexable conjunct yields the
+// fewest candidates, equalities first on a tie. Keys can collide — integers
+// past 2^53 share their float64 key — so candidates are a superset and
+// callers evaluate the whole of pred on each. ok is false when no conjunct
+// is indexable. Callers must hold t.mu.
 func (t *Table) probeLocked(pred Pred) (positions []int, ok bool) {
 	conjuncts := []Pred{pred}
 	if and, isAnd := pred.(AndPred); isAnd {
 		conjuncts = and.Ps
 	}
+	var best [][]int
+	size := -1
 	for _, in := range []bool{false, true} {
 		for _, p := range conjuncts {
 			idx, lits := t.indexedLiteralsLocked(p, in)
 			if idx == nil {
 				continue
 			}
-			var ids []int
+			var buckets [][]int
+			n := 0
 			seen := make(map[string]bool, len(lits))
 			for _, v := range lits {
 				if k := v.Key(); !seen[k] {
 					seen[k] = true
-					ids = append(ids, idx.buckets[k]...)
+					buckets = append(buckets, idx.buckets[k])
+					n += len(idx.buckets[k])
 				}
 			}
-			return t.bucketPositionsLocked(ids), true
+			if size < 0 || n < size {
+				best, size = buckets, n
+			}
 		}
 	}
-	return nil, false
+	if size < 0 {
+		return nil, false
+	}
+	ids := make([]int, 0, size)
+	for _, b := range best {
+		ids = append(ids, b...)
+	}
+	return t.bucketPositionsLocked(ids), true
 }
 
 // indexedLiteralsLocked matches one conjunct against a probe shape — with

@@ -2,11 +2,8 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"guava/internal/etl"
-	"guava/internal/obs"
-	"guava/internal/relstore"
 )
 
 // The serving daemon's background cadence is where incremental refresh pays
@@ -18,7 +15,7 @@ import (
 // extracts pinned to other contributors keep their cached bodies.
 
 // deltaCapable reports whether every contributor of the spec exposes a
-// change journal — the precondition for etl.RefreshDelta.
+// change journal — the precondition for a delta refresh.
 func deltaCapable(spec *etl.StudySpec) bool {
 	if len(spec.Contributors) == 0 {
 		return false
@@ -50,94 +47,23 @@ func studyDirty(spec *etl.StudySpec, cursors *etl.DeltaCursors) (bool, error) {
 	return false, nil
 }
 
-// refreshDelta refreshes one study from its contributors' change journals.
-// The whole delta — journal scan, keyed re-extract, warehouse patch — is
-// applied to a private copy of the current generation's table, then
-// published with one pointer swap. Concurrent extracts keep reading the
-// pinned previous generation throughout; no reader ever observes a
-// partially-patched partition.
-func (s *Server) refreshDelta(ctx context.Context, st *servedStudy, kind string) (etl.RefreshStats, error) {
-	st.refreshMu.Lock()
-	defer st.refreshMu.Unlock()
-
-	ctx = s.observe(ctx)
-	ctx, span := obs.StartSpan(ctx, "serve.refresh-delta "+st.name,
-		obs.String("study", st.name), obs.String("kind", kind))
-	var stats etl.RefreshStats
-	var err error
-	defer func() {
-		span.EndErr(err)
-		st.noteRefresh(err)
-	}()
-
-	cur := st.cur.Load()
-	if cur == nil || cur.cursors == nil {
-		err = fmt.Errorf("serve: study %q has no delta cursors (needs a full refresh first)", st.name)
-		return stats, err
-	}
-	compiled, perr := s.plans.get(st.spec)
-	if perr != nil {
-		err = perr
-		return stats, err
-	}
-
-	// Clone the cursors (the published generation's set stays frozen) and
-	// stage the patch in a private warehouse holding a copy of the table.
-	cursors := etl.NewDeltaCursors()
-	for name, seq := range cur.cursors.Snapshot() {
-		cursors.Set(name, seq)
-	}
-	next, cerr := nextTable(st, cur, st.schema)
-	if cerr != nil {
-		err = cerr
-		return stats, err
-	}
-	staging := relstore.NewDB("warehouse_" + st.name)
-	if aerr := staging.AddTable(next); aerr != nil {
-		err = aerr
-		return stats, err
-	}
-
-	report, rerr := compiled.RefreshDelta(ctx, staging, etl.DeltaOptions{Cursors: cursors})
-	if rerr != nil {
-		err = rerr
-		return stats, err
-	}
-	stats = report.Stats
-
-	var changedParts []string
-	for name, cs := range report.ByContributor {
-		if cs.Changed() {
-			changedParts = append(changedParts, name)
-		}
-	}
-	g := nextGeneration(st, cur, next, false, changedParts)
-	g.cursors = cursors
-	g.stats = stats
-	s.persist(st, g, len(changedParts) > 0)
-	s.publish(st, g)
-
-	s.metrics().Counter("serve.refresh.delta").Inc()
-	span.SetAttr(obs.Int("keys", int64(report.Keys)), obs.Int("added", int64(stats.Added)),
-		obs.Int("updated", int64(stats.Updated)), obs.Int("generation", g.num))
-	return stats, nil
-}
-
 // refreshAuto is the background loop's policy: full refresh for studies
 // without journals, nothing for clean studies, delta for dirty ones, full
-// as the fallback when the delta path fails.
+// as the fallback when the delta fails hard. Extraction misses are not
+// hard failures: under a quarantine budget a delta dead-letters them just
+// as a full refresh would.
 func (s *Server) refreshAuto(ctx context.Context, st *servedStudy, kind string) {
 	cur := st.cur.Load()
 	if cur == nil || cur.cursors == nil || !deltaCapable(st.spec) {
-		_, _ = s.refresh(ctx, st, kind)
+		_, _ = s.refresh(ctx, st, etl.FullRefresh, kind)
 		return
 	}
 	if dirty, err := studyDirty(st.spec, cur.cursors); err == nil && !dirty {
 		s.metrics().Counter("serve.refresh.clean").Inc()
 		return
 	}
-	if _, err := s.refreshDelta(ctx, st, kind); err != nil {
+	if _, err := s.refresh(ctx, st, etl.DeltaRefresh, kind); err != nil {
 		s.metrics().Counter("serve.refresh.delta.fallback").Inc()
-		_, _ = s.refresh(ctx, st, kind)
+		_, _ = s.refresh(ctx, st, etl.FullRefresh, kind)
 	}
 }

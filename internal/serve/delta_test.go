@@ -231,7 +231,7 @@ func TestDeltaExtractRaceUntouchedPartition(t *testing.T) {
 				t.Errorf("write: %v", err)
 				return
 			}
-			if _, err := srv.refreshDelta(ctx, st, "stress"); err != nil {
+			if _, err := srv.refresh(ctx, st, etl.DeltaRefresh, "stress"); err != nil {
 				t.Errorf("delta refresh: %v", err)
 				return
 			}

@@ -224,11 +224,11 @@ func TestExtractMatchesSortedOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			case "delta":
-				if _, err := d.srv.refreshDelta(context.Background(), d.st, "test"); err != nil {
+				if _, err := d.srv.refresh(context.Background(), d.st, etl.DeltaRefresh, "test"); err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}
 			case "full":
-				if _, err := d.srv.refresh(context.Background(), d.st, "test"); err != nil {
+				if _, err := d.srv.refresh(context.Background(), d.st, etl.FullRefresh, "test"); err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}
 			case "restart":

@@ -256,7 +256,7 @@ func TestSnapshotGCUnderPinnedReaders(t *testing.T) {
 				t.Errorf("write: %v", err)
 				return
 			}
-			if _, err := srv.refresh(context.Background(), st, "stress"); err != nil {
+			if _, err := srv.refresh(context.Background(), st, etl.FullRefresh, "stress"); err != nil {
 				t.Errorf("refresh: %v", err)
 				return
 			}
@@ -333,10 +333,10 @@ func TestDeltaAndFullRefreshPersistSameTable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := delta.srv.refreshDelta(context.Background(), delta.st, "test"); err != nil {
+		if _, err := delta.srv.refresh(context.Background(), delta.st, etl.DeltaRefresh, "test"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := full.srv.refresh(context.Background(), full.st, "test"); err != nil {
+		if _, err := full.srv.refresh(context.Background(), full.st, etl.FullRefresh, "test"); err != nil {
 			t.Fatal(err)
 		}
 		rebuilt.dir = t.TempDir()

@@ -10,20 +10,29 @@ import (
 	"guava/internal/relstore"
 )
 
-// refresh re-runs st's plan and builds the study's next generation
-// side-by-side: a copy of the current table absorbs the merge, and only
-// then does one atomic pointer swap publish it. Extract readers keep
-// serving the pinned previous generation for the whole build — they never
-// block on the plan, the merge, or the persist. The study generation
-// advances only when the merge changed data, which is what keeps cached
+// refresh re-runs st's plan — over every key, or for a delta over only the
+// keys its contributors' journals recorded past the current generation's
+// cursors — and builds the study's next generation side-by-side: a private
+// copy of the current table absorbs etl.Refresh's patch in a staging
+// warehouse, and only then does one atomic pointer swap publish it.
+// Extract readers keep serving the pinned previous generation for the
+// whole build — they never block on the plan, the patch, or the persist,
+// and never observe a partially patched partition. The study generation
+// advances only when the patch changed data, which is what keeps cached
 // extracts valid across no-op refreshes (a no-op republishes under the
-// same number, inheriting the on-disk directory).
-func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl.RefreshStats, error) {
+// same number, inheriting the on-disk directory); a delta advances only
+// the partitions of the contributors it changed.
+func (s *Server) refresh(ctx context.Context, st *servedStudy, mode etl.RefreshMode, kind string) (etl.RefreshStats, error) {
 	st.refreshMu.Lock()
 	defer st.refreshMu.Unlock()
 
+	delta := mode == etl.DeltaRefresh
+	spanName := "serve.refresh "
+	if delta {
+		spanName = "serve.refresh-delta "
+	}
 	ctx = s.observe(ctx)
-	ctx, span := obs.StartSpan(ctx, "serve.refresh "+st.name,
+	ctx, span := obs.StartSpan(ctx, spanName+st.name,
 		obs.String("study", st.name), obs.String("kind", kind))
 	var stats etl.RefreshStats
 	var err error
@@ -32,53 +41,55 @@ func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl
 		st.noteRefresh(err)
 	}()
 
+	cur := st.cur.Load()
+	if delta && (cur == nil || cur.cursors == nil) {
+		err = fmt.Errorf("serve: study %q has no delta cursors (needs a full refresh first)", st.name)
+		return stats, err
+	}
 	compiled, err := s.plans.get(st.spec)
 	if err != nil {
 		return stats, err
 	}
-	// Seed delta cursors BEFORE running the plan: a journal entry landing
-	// while the plan executes then stays below the cursor and is picked up
-	// by the next delta (re-applying anything the plan already saw is
-	// idempotent). Seeding after the run would silently skip it.
+	// The published generation's cursors stay frozen; the build advances a
+	// copy. A study without journals keeps none.
 	var cursors *etl.DeltaCursors
 	if deltaCapable(st.spec) {
 		cursors = etl.NewDeltaCursors()
-		if serr := compiled.SeedDeltaCursors(cursors); serr != nil {
-			cursors = nil
+		if cur != nil && cur.cursors != nil {
+			for name, seq := range cur.cursors.Snapshot() {
+				cursors.Set(name, seq)
+			}
 		}
 	}
-	fresh, runReport, rerr := compiled.RunResilient(ctx, s.cfg.Policy, 0)
-	if rerr != nil {
-		err = rerr
+	next := nextTable(st, cur)
+	staging := relstore.NewDB("warehouse_" + st.name)
+	if err = staging.AddTable(next); err != nil {
 		return stats, err
 	}
-
-	cur := st.cur.Load()
-	next, berr := nextTable(st, cur, fresh.Schema)
-	if berr != nil {
-		err = berr
-		return stats, err
-	}
-	stats, err = etl.Merge(next, fresh, runReport.DegradedContributors...)
+	report, err := compiled.Refresh(ctx, staging, etl.RefreshOptions{Mode: mode, Policy: s.cfg.Policy, Cursors: cursors})
 	if err != nil {
 		return stats, err
 	}
+	stats = report.Stats
 
-	g := nextGeneration(st, cur, next, stats.Changed(), nil)
-	if cursors != nil {
-		g.cursors = cursors
+	var changedParts []string
+	if delta {
+		for name, cs := range report.ByContributor {
+			if cs.Changed() {
+				changedParts = append(changedParts, name)
+			}
+		}
 	}
+	g := nextGeneration(st, cur, next, !delta && stats.Changed(), changedParts)
+	g.cursors = cursors
 	g.stats = stats
 	s.persist(st, g, stats.Changed())
 	s.publish(st, g)
 
-	m := s.metrics()
-	m.Counter("refresh.runs").Inc()
-	m.Counter("refresh.added").Add(int64(stats.Added))
-	m.Counter("refresh.updated").Add(int64(stats.Updated))
-	m.Counter("refresh.unchanged").Add(int64(stats.Unchanged))
-	span.SetAttr(obs.Int("added", int64(stats.Added)), obs.Int("updated", int64(stats.Updated)),
-		obs.Int("unchanged", int64(stats.Unchanged)), obs.Int("generation", g.num))
+	if delta {
+		s.metrics().Counter("serve.refresh.delta").Inc()
+	}
+	span.SetAttr(obs.Int("generation", g.num))
 	return stats, nil
 }
 
@@ -86,16 +97,13 @@ func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl
 // copy of the current generation's table, or an empty contributor-indexed
 // one before the first refresh. The copy is what makes the swap safe — the
 // published table is never mutated.
-func nextTable(st *servedStudy, cur *generation, schema *relstore.Schema) (*relstore.Table, error) {
+func nextTable(st *servedStudy, cur *generation) *relstore.Table {
 	if cur == nil {
-		next := relstore.NewTable(st.tableName, schema)
+		next := relstore.NewTable(st.tableName, st.schema)
 		_ = next.CreateIndex(etl.ContributorColumn)
-		return next, nil
+		return next
 	}
-	if !cur.table.Schema().Equal(schema) {
-		return nil, fmt.Errorf("serve: study %q refresh produced a different schema", st.name)
-	}
-	return cur.table.Clone(), nil
+	return cur.table.Clone()
 }
 
 // newGeneration wraps table as a generation of st after putting its rows in

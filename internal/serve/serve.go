@@ -237,7 +237,7 @@ func (s *Server) AddStudy(ctx context.Context, spec *etl.StudySpec) error {
 	if st.cur.Load() != nil {
 		return nil // recovered from disk; already serving
 	}
-	if _, err := s.refresh(ctx, st, "initial"); err != nil {
+	if _, err := s.refresh(ctx, st, etl.FullRefresh, "initial"); err != nil {
 		s.mu.Lock()
 		delete(s.studies, spec.Name)
 		s.mu.Unlock()
@@ -347,7 +347,7 @@ func (s *Server) ensureReady(ctx context.Context, st *servedStudy) error {
 	if st.ready.Load() {
 		return nil
 	}
-	_, err := s.refresh(ctx, st, "initial")
+	_, err := s.refresh(ctx, st, etl.FullRefresh, "initial")
 	return err
 }
 
@@ -807,24 +807,22 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mode := r.URL.Query().Get("mode")
-	var stats etl.RefreshStats
-	var err error
+	refreshMode := etl.FullRefresh
 	switch mode {
 	case "", "full":
 		mode = "full"
-		s.metrics().Counter("serve.refresh.forced").Inc()
-		stats, err = s.refresh(r.Context(), st, "forced")
 	case "delta":
 		if !deltaCapable(st.spec) {
 			httpError(w, http.StatusConflict, "study %q is not delta-capable: a contributor has no change journal", st.name)
 			return
 		}
-		s.metrics().Counter("serve.refresh.forced").Inc()
-		stats, err = s.refreshDelta(r.Context(), st, "forced")
+		refreshMode = etl.DeltaRefresh
 	default:
 		httpError(w, http.StatusBadRequest, "unknown refresh mode %q (want full or delta)", mode)
 		return
 	}
+	s.metrics().Counter("serve.refresh.forced").Inc()
+	stats, err := s.refresh(r.Context(), st, refreshMode, "forced")
 	if err != nil {
 		var rej *plancheck.RejectionError
 		if errors.As(err, &rej) {

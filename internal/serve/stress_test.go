@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"guava/internal/etl"
 	"guava/internal/obs"
 	"guava/internal/relstore"
 )
@@ -68,7 +69,7 @@ func TestExtractRefreshRace(t *testing.T) {
 				t.Errorf("write: %v", err)
 				return
 			}
-			if _, err := srv.refresh(context.Background(), st, "stress"); err != nil {
+			if _, err := srv.refresh(context.Background(), st, etl.FullRefresh, "stress"); err != nil {
 				t.Errorf("refresh: %v", err)
 				return
 			}

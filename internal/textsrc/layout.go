@@ -22,9 +22,10 @@ import (
 // (classifiers, delta refresh, studyd) runs unchanged.
 //
 // Read fails on the first extraction miss; ReadDiverting (the
-// patterns.DivertingReader protocol) is the production path, separating
-// clean rows from per-report misses so the ETL quarantine can dead-letter
-// them under the run budget instead of failing the corpus.
+// patterns.DivertingReader protocol) is the production path, for full and
+// key-scoped reads alike, separating clean rows from per-report misses so
+// the ETL quarantine can dead-letter them under the run budget instead of
+// failing the corpus.
 type Layout struct {
 	ext *Extractor
 }
@@ -115,60 +116,45 @@ func (l *Layout) extractAll(docs *relstore.Rows) (*relstore.Rows, []patterns.Sou
 }
 
 // Read implements patterns.Layout: extract every stored report, failing on
-// the first miss (use ReadDiverting to quarantine instead).
+// the first miss (ReadDiverting quarantines instead).
 func (l *Layout) Read(db *relstore.DB, form patterns.FormInfo) (*relstore.Rows, error) {
-	t, err := db.Table(ReportsTable(form.Name))
+	rows, misses, err := l.ReadDiverting(context.Background(), db, form, nil)
+	if err == nil {
+		err = patterns.MissError(misses)
+	}
 	if err != nil {
 		return nil, err
-	}
-	rows, misses := l.extractAll(t.Rows())
-	if len(misses) > 0 {
-		m := misses[0]
-		return nil, fmt.Errorf("textsrc: %d extraction miss(es), first: %s (%w)", len(misses), m.Locator, m.Err)
 	}
 	return rows, nil
 }
 
-// ReadDiverting implements patterns.DivertingReader: clean rows flow,
-// every miss comes back with report-span provenance, and textsrc.* counters
-// record the corpus health.
-func (l *Layout) ReadDiverting(ctx context.Context, db *relstore.DB, form patterns.FormInfo) (*relstore.Rows, []patterns.SourceMiss, error) {
+// ReadDiverting implements patterns.DivertingReader: the stored reports —
+// all of them, or one index probe per key when keys is set — are
+// extracted, clean rows flow, every miss comes back with report-span
+// provenance, and textsrc.* counters record the corpus health. Full and
+// key-scoped (delta) reads divert misses alike.
+func (l *Layout) ReadDiverting(ctx context.Context, db *relstore.DB, form patterns.FormInfo, keys []relstore.Value) (*relstore.Rows, []patterns.SourceMiss, error) {
 	t, err := db.Table(ReportsTable(form.Name))
 	if err != nil {
 		return nil, nil, err
 	}
-	docs := t.Rows()
+	docs := &relstore.Rows{Schema: t.Schema()}
+	if keys == nil {
+		docs = t.Rows()
+	}
+	for _, k := range keys {
+		stored, err := t.Lookup(form.KeyColumn, k)
+		if err != nil {
+			return nil, nil, err
+		}
+		docs.Data = append(docs.Data, stored...)
+	}
 	rows, misses := l.extractAll(docs)
 	m := obs.MetricsFrom(ctx)
 	m.Counter("textsrc.reports.in").Add(int64(len(docs.Data)))
 	m.Counter("textsrc.reports.diverted").Add(int64(len(docs.Data) - len(rows.Data)))
 	m.Counter("textsrc.misses").Add(int64(len(misses)))
 	return rows, misses, nil
-}
-
-// ReadKeys implements patterns.KeyedReader: one index probe per key, then
-// extraction of just those documents. A keyed read is the delta-refresh
-// path, which has no quarantine seam — a miss here fails the read, exactly
-// like Read.
-func (l *Layout) ReadKeys(db *relstore.DB, form patterns.FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
-	t, err := db.Table(ReportsTable(form.Name))
-	if err != nil {
-		return nil, err
-	}
-	var data []relstore.Row
-	for _, k := range keys {
-		rows, err := t.Lookup(form.KeyColumn, k)
-		if err != nil {
-			return nil, err
-		}
-		data = append(data, rows...)
-	}
-	rows, misses := l.extractAll(&relstore.Rows{Schema: t.Schema(), Data: data})
-	if len(misses) > 0 {
-		m := misses[0]
-		return nil, fmt.Errorf("textsrc: %d extraction miss(es), first: %s (%w)", len(misses), m.Locator, m.Err)
-	}
-	return rows, nil
 }
 
 // Update implements patterns.Layout: extract the report, change the one

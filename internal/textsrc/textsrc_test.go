@@ -358,7 +358,7 @@ func TestReadDivertingSeparatesCorruptReports(t *testing.T) {
 	}
 
 	// The diverting read separates the misses.
-	rows, misses, err := stack.ReadDiverting(context.Background(), db, form)
+	rows, misses, err := stack.ReadDiverting(context.Background(), db, form, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

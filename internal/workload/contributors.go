@@ -52,7 +52,7 @@ func build(name string, form *ui.Form, stack *patterns.Stack, truths []Truth, en
 		return nil, fmt.Errorf("workload: %s: %w", name, err)
 	}
 	// Every workload stack journals its writes so studies over these
-	// contributors can refresh incrementally (etl.RefreshDelta).
+	// contributors can refresh incrementally (a delta etl.Compiled.Refresh).
 	stack.Journal = patterns.NewJournal()
 	db := relstore.NewDB(name)
 	if err := stack.Install(db, info); err != nil {

@@ -4,17 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 )
 
 // This file is the serving-side workload: a deterministic generator of
 // extract queries shaped like analyst traffic against a study endpoint
 // (repeated cohort pulls with a mix of equality filters, range filters,
-// and paging), and a driver that replays them from concurrent clients
-// collecting the latency distribution and cache behavior. The generator is
-// transport-agnostic — the driver calls back into whatever issues the
-// request (an HTTP client in coribench, an in-process handler in tests).
+// and paging), and the statistics the open-loop driver (openloop.go)
+// collects while replaying them: the latency distribution and cache
+// behavior. The generator is transport-agnostic — the driver calls back
+// into whatever issues the request (an HTTP client in coribench, an
+// in-process handler in tests).
 
 // ExtractRequest is one extract query: a study name and its URL query
 // parameters (multiple values per key allowed, as in a query string).
@@ -79,15 +79,13 @@ func ExtractRequests(study string, n int, seed int64) []ExtractRequest {
 	return reqs
 }
 
-// LoadStats aggregates one driven load run. The closed-loop Drive fills
-// Requests/Hits/Errors; the open-loop DriveOpenLoop additionally separates
-// shed load (429/503, retryable by design) from hard errors and tracks the
+// LoadStats aggregates one DriveOpenLoop run: it separates shed load
+// (429/503, retryable by design) from hard errors and tracks the
 // offered-vs-completed gap.
 type LoadStats struct {
-	Requests int // requests actually sent (and completed)
-	Hits     int // successful responses served from cache
-	Errors   int // hard failures: transport errors and non-shed 4xx/5xx
-	// Open-loop extras:
+	Requests   int // requests actually sent (and completed)
+	Hits       int // successful responses served from cache
+	Errors     int // hard failures: transport errors and non-shed 4xx/5xx
 	Offered    int // arrivals the Poisson clock generated (sent + dropped)
 	Shed       int // requests still 429/503 after the retry budget
 	Retries    int // extra attempts spent honoring Retry-After backoff
@@ -133,45 +131,4 @@ func (s *LoadStats) Throughput() float64 {
 		return 0
 	}
 	return float64(s.Requests-s.Errors) / s.Elapsed.Seconds()
-}
-
-// Drive replays reqs from `clients` concurrent workers, each request going
-// through do, which reports whether the response was served from cache.
-// Requests are dealt round-robin so every worker sees the same mix.
-func Drive(reqs []ExtractRequest, clients int, do func(ExtractRequest) (hit bool, err error)) *LoadStats {
-	if clients < 1 {
-		clients = 1
-	}
-	type sample struct {
-		d   time.Duration
-		hit bool
-		err bool
-	}
-	samples := make([]sample, len(reqs))
-	var wg sync.WaitGroup
-	began := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < len(reqs); i += clients {
-				t0 := time.Now()
-				hit, err := do(reqs[i])
-				samples[i] = sample{d: time.Since(t0), hit: hit, err: err != nil}
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	stats := &LoadStats{Requests: len(reqs), Elapsed: time.Since(began)}
-	for _, s := range samples {
-		stats.latencies = append(stats.latencies, s.d)
-		if s.err {
-			stats.Errors++
-		} else if s.hit {
-			stats.Hits++
-		}
-	}
-	sort.Slice(stats.latencies, func(i, j int) bool { return stats.latencies[i] < stats.latencies[j] })
-	return stats
 }

@@ -1,10 +1,7 @@
 package workload
 
 import (
-	"errors"
-	"fmt"
 	"testing"
-	"time"
 )
 
 // TestExtractRequestsDeterministic: the same seed yields the same traffic,
@@ -51,42 +48,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TestDrive: the driver fans requests across clients, counts hits and
-// errors, and reports ordered quantiles.
-func TestDrive(t *testing.T) {
-	reqs := ExtractRequests("reference", 40, 1)
-	stats := Drive(reqs, 4, func(r ExtractRequest) (bool, error) {
-		time.Sleep(100 * time.Microsecond)
-		switch {
-		case r.Params["limit"] != nil && r.Params["offset"] == nil:
-			return true, nil // pretend the hot shape always hits
-		case r.Params["Hypoxia_D1"] != nil:
-			return false, errors.New("boom")
-		default:
-			return false, nil
-		}
-	})
-	if stats.Requests != 40 {
-		t.Fatalf("requests = %d, want 40", stats.Requests)
-	}
-	if stats.Hits == 0 {
-		t.Error("hot requests must register hits")
-	}
-	if stats.Hits+stats.Errors > stats.Requests {
-		t.Errorf("hits %d + errors %d exceed %d requests", stats.Hits, stats.Errors, stats.Requests)
-	}
-	if stats.HitRatio() <= 0 || stats.HitRatio() > 1 {
-		t.Errorf("hit ratio = %v", stats.HitRatio())
-	}
-	if stats.P50() <= 0 || stats.P99() < stats.P50() {
-		t.Errorf("quantiles disordered: p50=%v p99=%v", stats.P50(), stats.P99())
-	}
-	if stats.Throughput() <= 0 {
-		t.Errorf("throughput = %v", stats.Throughput())
-	}
-	if got := fmt.Sprint(reqs[0]); got == "" {
-		t.Error("request must render")
-	}
 }

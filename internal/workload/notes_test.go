@@ -64,7 +64,7 @@ func TestNotesCorruptReportDiverts(t *testing.T) {
 	if _, err := c.Stack.Read(c.DB, c.Info); err == nil {
 		t.Fatal("strict read over a corrupt corpus must fail")
 	}
-	rows, misses, err := c.Stack.ReadDiverting(context.Background(), c.DB, c.Info)
+	rows, misses, err := c.Stack.ReadDiverting(context.Background(), c.DB, c.Info, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

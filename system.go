@@ -146,26 +146,15 @@ func (st *Study) Run() (*Rows, error) { return st.compiled.Run() }
 // reference semantics).
 func (st *Study) DirectEval() (*Rows, error) { return etl.DirectEval(st.spec) }
 
-// Refresh re-runs the study and merges its output into the warehouse table
-// "Study_<name>" — the periodic-inclusion workflow of the CORI warehouse.
-func (st *Study) Refresh(warehouse *DB) (etl.RefreshStats, error) {
-	return st.compiled.Refresh(warehouse)
-}
-
-// RefreshContext is Refresh under a RunPolicy and a cancellable context:
-// the study re-runs through the resilient executor (retries, timeouts,
-// quarantine, graceful degradation), and only the surviving contributors'
-// rows merge — a dead contributor's warehouse history is left untouched.
+// Refresh re-runs the study and patches its output into the warehouse
+// table "Study_<name>" — the periodic-inclusion workflow of the CORI
+// warehouse. opts picks a full or a journal-driven delta refresh and the
+// RunPolicy both run under (retries, timeouts, quarantine, graceful
+// degradation): a dead contributor's warehouse history is left untouched.
 // Attach an Observer to ctx (obs.WithObserver) to trace the refresh and
 // collect the refresh.* counters.
-func (st *Study) RefreshContext(ctx context.Context, warehouse *DB, policy etl.RunPolicy) (etl.RefreshStats, error) {
-	return st.compiled.RefreshContext(ctx, warehouse, policy)
-}
-
-// RunParallel executes the study with the per-contributor chains running
-// concurrently under ctx; workers bounds concurrency (<= 0 means unbounded).
-func (st *Study) RunParallel(ctx context.Context, workers int) (*Rows, error) {
-	return st.compiled.RunParallel(ctx, workers)
+func (st *Study) Refresh(ctx context.Context, warehouse *DB, opts RefreshOptions) (*RefreshReport, error) {
+	return st.compiled.Refresh(ctx, warehouse, opts)
 }
 
 // RunResilient executes the study under a fault-handling policy: per-step

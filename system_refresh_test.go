@@ -28,11 +28,11 @@ func TestStudyRefreshContextFacade(t *testing.T) {
 	o := obs.NewObserver()
 	ctx := obs.WithObserver(context.Background(), o)
 
-	var stats RefreshStats
-	stats, err = st.RefreshContext(ctx, warehouse, etl.RunPolicy{MaxAttempts: 2})
+	report, err := st.Refresh(ctx, warehouse, RefreshOptions{Policy: etl.RunPolicy{MaxAttempts: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stats RefreshStats = report.Stats
 	if !stats.Changed() || stats.Added == 0 {
 		t.Fatalf("first refresh = %+v, want added rows", stats)
 	}
@@ -46,19 +46,19 @@ func TestStudyRefreshContextFacade(t *testing.T) {
 		t.Error("refresh span missing from the attached tracer")
 	}
 
-	// Idempotent second pass through the plain facade method.
-	stats, err = st.Refresh(warehouse)
+	// Idempotent second pass under the empty policy.
+	report, err = st.Refresh(context.Background(), warehouse, RefreshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Changed() {
-		t.Errorf("idempotent refresh = %+v", stats)
+	if report.Stats.Changed() {
+		t.Errorf("idempotent refresh = %+v", report.Stats)
 	}
 
 	// Cancellation propagates.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := st.RefreshContext(canceled, warehouse, etl.RunPolicy{}); err == nil {
+	if _, err := st.Refresh(canceled, warehouse, RefreshOptions{}); err == nil {
 		t.Error("refresh under a canceled context must fail")
 	}
 }
