@@ -29,16 +29,6 @@ type SourceMiss struct {
 	Locator string
 }
 
-// DivertingReader is the optional lossy-source protocol behind
-// Stack.ReadDiverting: a Layout whose source records can individually fail
-// reconstruction separates the clean relation from per-record misses
-// instead of failing the whole read on the first bad record. keys is nil
-// for the whole relation; otherwise it is a non-empty set of distinct,
-// non-NULL instance keys and only those records are read.
-type DivertingReader interface {
-	ReadDiverting(ctx context.Context, db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, []SourceMiss, error)
-}
-
 // MissError reports misses as one error naming the first, or nil when
 // there are none: what a strict read fails with.
 func MissError(misses []SourceMiss) error {
@@ -49,75 +39,102 @@ func MissError(misses []SourceMiss) error {
 	return fmt.Errorf("%d source miss(es), first: %s (%w)", len(misses), m.Locator, m.Err)
 }
 
-// ReadDiverting is the stack's one read: it reconstructs the naive
-// relation, conformed exactly to the form's naive schema, and returns the
-// source records the layout could not reconstruct as misses alongside the
-// clean rows. Layouts without the DivertingReader protocol report no
-// misses; their first error fails the read.
+// ReadDiverting reconstructs the naive relation, conformed exactly to the
+// form's naive schema, and returns the source records the layout could not
+// reconstruct as misses alongside the clean rows.
 //
-// keys scopes the read. nil reads the whole relation. Otherwise only the
-// records with those instance keys come back: duplicate and NULL keys are
-// dropped, so the result is a function of the key set, and an empty set
-// reads nothing without touching the layout. Keyed layouts probe their key
-// indexes; other layouts fall back to a full read filtered by key
-// membership. The scoped read leans on one contract: every transform
-// preserves the key column's values (true of all Table 1 transforms — they
-// rename or re-encode non-key answers, never instance keys), so filtering
-// at the layout level selects exactly the outer-level records. Records
-// deprecated through Audit decode to nothing, yielding an empty group for
-// their key.
+// keys scopes the read. nil reads the whole relation. Otherwise the read is
+// the predicate key IN (keys) without its NULL keys: only the records with
+// those instance keys come back, a duplicate key never duplicates a row,
+// and an empty set reads nothing without touching the layout. The scope is
+// rewritten inward like any predicate — every transform preserves the key
+// column's values (Rename renames the column, Audit conjoins its liveness
+// filter, the others pass a key IN through) — so every layout fetches only
+// those keys, probing its key indexes. Records deprecated through Audit
+// decode to nothing, yielding an empty group for their key.
 func (s *Stack) ReadDiverting(ctx context.Context, db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, []SourceMiss, error) {
+	var where relstore.Pred
 	if keys != nil {
-		if keys = distinctKeys(keys); len(keys) == 0 {
+		live := make([]relstore.Value, 0, len(keys))
+		for _, k := range keys {
+			if !k.IsNull() {
+				live = append(live, k)
+			}
+		}
+		if len(live) == 0 {
 			return &relstore.Rows{Schema: form.Schema}, nil, nil
 		}
+		where = relstore.In(relstore.Col(form.KeyColumn), live...)
 	}
+	rows, misses, _, err := s.readThrough(ctx, db, form, where)
+	return rows, misses, err
+}
+
+// readThrough is the stack's one read pipeline, behind Read, ReadKeys,
+// ReadDiverting and the queries. where (nil: every record) is rewritten
+// inward through the transforms — when one declines, the layout reads
+// unfiltered — and the layout's rows decode outward, conform to the naive
+// schema and are filtered by where again, so the result is exact whatever
+// the layers evaluated. The layout's misses are collected. The bool reports
+// that where was pushed down to the physical scan: every transform
+// rewrote it and the layout read it exactly.
+func (s *Stack) readThrough(ctx context.Context, db *relstore.DB, form FormInfo, where relstore.Pred) (*relstore.Rows, []SourceMiss, bool, error) {
 	infos, err := s.adaptAll(form)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	inner := infos[len(infos)-1]
-	var rows *relstore.Rows
+	var inner relstore.Pred
+	rewritten := false
+	if where != nil {
+		inner, rewritten = s.rewriteInward(db, infos, where)
+	}
 	var misses []SourceMiss
-	if dr, ok := s.Layout.(DivertingReader); ok {
-		rows, misses, err = dr.ReadDiverting(ctx, db, inner, keys)
-	} else if kr, ok := s.Layout.(KeyedReader); ok && keys != nil {
-		rows, err = kr.ReadKeys(db, inner, keys)
-	} else {
-		rows, err = s.Layout.Read(db, inner)
-		if err == nil && keys != nil {
-			rows, err = relstore.Select(rows, relstore.In(relstore.Col(inner.KeyColumn), keys...))
-		}
-	}
+	rows, exact, err := s.Layout.Read(ctx, db, infos[len(infos)-1], inner, func(m SourceMiss) { misses = append(misses, m) })
 	if err != nil {
-		return nil, nil, fmt.Errorf("patterns: read %s: %w", s.Layout.Name(), err)
+		return nil, nil, false, fmt.Errorf("patterns: read %s: %w", s.Layout.Name(), err)
 	}
 	for i := len(s.Transforms) - 1; i >= 0; i-- {
 		rows, err = s.Transforms[i].Decode(db, infos[i], infos[i+1], rows)
 		if err != nil {
-			return nil, nil, fmt.Errorf("patterns: decode %s: %w", s.Transforms[i].Name(), err)
+			return nil, nil, false, fmt.Errorf("patterns: decode %s: %w", s.Transforms[i].Name(), err)
 		}
 	}
 	rows, err = Conform(rows, form.Schema)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	return rows, misses, nil
+	if where != nil {
+		rows, err = relstore.Select(rows, where)
+		if err != nil {
+			return nil, nil, false, err
+		}
+	}
+	return rows, misses, rewritten && exact, nil
 }
 
-// distinctKeys drops NULL and repeated keys, keeping first occurrences in
-// order.
-func distinctKeys(keys []relstore.Value) []relstore.Value {
-	out := make([]relstore.Value, 0, len(keys))
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if k.IsNull() || seen[k.Key()] {
-			continue
-		}
-		seen[k.Key()] = true
-		out = append(out, k)
+// KeyConjuncts is what a layout that fetches its physical tables by key can
+// evaluate of where at the scan: the conjunction of where's top-level
+// conjuncts that reference the form's key column and no other (nil when
+// there are none), and whether those are all of where — whether a read
+// that fetches with it is exact.
+func KeyConjuncts(form FormInfo, where relstore.Pred) (relstore.Pred, bool) {
+	if where == nil {
+		return nil, true
 	}
-	return out
+	all := []relstore.Pred{where}
+	if and, ok := where.(relstore.AndPred); ok {
+		all = and.Ps
+	}
+	var keyed []relstore.Pred
+	for _, c := range all {
+		if cols := relstore.PredColumns(c); len(cols) == 1 && cols[0] == form.KeyColumn {
+			keyed = append(keyed, c)
+		}
+	}
+	if len(keyed) == 0 {
+		return nil, len(all) == 0
+	}
+	return relstore.And(keyed...), len(keyed) == len(all)
 }
 
 // strict turns a diverting read's first miss into the read's error.

@@ -97,7 +97,8 @@ func TestMultiValuedAmbiguity(t *testing.T) {
 		t.Fatalf("read with duplicate answer: err = %v", err)
 	}
 	// ReadKeys on the poisoned key refuses too; other keys still read.
-	if _, err := stack.ReadKeys(db, form, []relstore.Value{relstore.Int(1)}); err == nil {
+	_, keyErr := stack.ReadKeys(db, form, []relstore.Value{relstore.Int(1)})
+	if keyErr == nil {
 		t.Fatal("read-keys with duplicate answer must fail")
 	}
 	got, err := stack.ReadKeys(db, form, []relstore.Value{relstore.Int(2)})
@@ -106,6 +107,19 @@ func TestMultiValuedAmbiguity(t *testing.T) {
 	}
 	if got.Len() != 1 {
 		t.Fatalf("read-keys(2) = %d rows, want 1", got.Len())
+	}
+	// A query that pins a key reads only that record: the clean key pushes
+	// down past the poisoned one, which fails as ReadKeys does.
+	res, err := stack.QueryWithInfo(db, form, relstore.Eq("ProcedureID", relstore.Int(2)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows.Len() != 1 || !res.PushedDown {
+		t.Fatalf("query key 2: %d rows, pushed down %v; want 1, true", res.Rows.Len(), res.PushedDown)
+	}
+	_, err = stack.QueryWithInfo(db, form, relstore.Eq("ProcedureID", relstore.Int(1)), nil)
+	if err == nil || err.Error() != keyErr.Error() {
+		t.Fatalf("query key 1: err = %v, want %v", err, keyErr)
 	}
 }
 

@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 
 	"guava/internal/relstore"
@@ -87,41 +88,32 @@ func (g Generic) Write(db *relstore.DB, form FormInfo, row relstore.Row) error {
 }
 
 // Read implements Layout: un-pivot the EAV rows and left-join onto the
-// entity anchors so all-NULL instances survive.
-func (g Generic) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
+// entity anchors so all-NULL instances survive. Both tables are fetched
+// with the key conjuncts of where (index probes), so the read is exact
+// when where is a key predicate.
+func (g Generic) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
 	et, err := db.Table(entityTable(form))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	vt, err := db.Table(eavTable(form))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return g.assemble(form, et.Rows(), vt.Rows())
-}
-
-// ReadKeys implements KeyedReader: both tables are probed through their key
-// indexes, then the subset runs the same un-pivot + left-join pipeline as a
-// full Read.
-func (g Generic) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
-	et, err := db.Table(entityTable(form))
+	keyed, exact := KeyConjuncts(form, where)
+	entities, err := et.Select(keyed)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	vt, err := db.Table(eavTable(form))
+	eav, err := vt.Select(keyed)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	pred := relstore.In(relstore.Col(form.KeyColumn), keys...)
-	entities, err := et.Select(pred)
+	rows, err := g.assemble(form, entities, eav)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	eav, err := vt.Select(pred)
-	if err != nil {
-		return nil, err
-	}
-	return g.assemble(form, entities, eav)
+	return rows, exact, nil
 }
 
 // assemble reconstructs the naive relation from entity anchors and EAV rows.

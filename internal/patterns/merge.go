@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -141,20 +142,25 @@ func (m *Merge) Write(db *relstore.DB, form FormInfo, row relstore.Row) error {
 	return t.Insert(wide)
 }
 
-// Read implements Layout.
-func (m *Merge) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
+// Read implements Layout: where conjoins with the discriminator filter in
+// one scan of the shared table, so the read is exact.
+func (m *Merge) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
 	if err := m.knows(form); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	t, err := db.Table(m.Table)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	mine, err := relstore.Select(t.Rows(), relstore.Eq(m.Discriminator, relstore.Str(form.Name)))
+	mine, err := t.Select(relstore.And(relstore.Eq(m.Discriminator, relstore.Str(form.Name)), where))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return relstore.Project(mine, form.Schema.Names()...)
+	rows, err := relstore.Project(mine, form.Schema.Names()...)
+	if err != nil {
+		return nil, false, err
+	}
+	return rows, true, nil
 }
 
 // Update implements Layout.

@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 
 	"guava/internal/relstore"
@@ -189,61 +190,38 @@ func (m MultiValued) assemble(form FormInfo, main *relstore.Rows, answers map[st
 	return out, nil
 }
 
-// Read implements Layout.
-func (m MultiValued) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
+// Read implements Layout: the main table and every answer table are fetched
+// with the key conjuncts of where (index probes), so the read is exact when
+// where is a key predicate, and an ambiguous record fails only the reads
+// that fetch it.
+func (m MultiValued) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
 	if err := m.check(form); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	mt, err := db.Table(mainTable(form))
 	if err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	keyed, exact := KeyConjuncts(form, where)
+	main, err := mt.Select(keyed)
+	if err != nil {
+		return nil, false, err
 	}
 	answers := make(map[string]*relstore.Rows, len(m.Columns))
 	for _, c := range m.Columns {
 		at, err := db.Table(answerTable(form, c))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		answers[c] = at.Rows()
+		if answers[c], err = at.Select(keyed); err != nil {
+			return nil, false, err
+		}
 	}
-	return m.assemble(form, mt.Rows(), answers)
-}
-
-// ReadKeys implements KeyedReader: the main table and every answer table are
-// probed through their key indexes.
-func (m MultiValued) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
-	if err := m.check(form); err != nil {
-		return nil, err
-	}
-	mt, err := db.Table(mainTable(form))
+	rows, err := m.assemble(form, main, answers)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var mainData []relstore.Row
-	for _, k := range keys {
-		rows, err := mt.Lookup(form.KeyColumn, k)
-		if err != nil {
-			return nil, err
-		}
-		mainData = append(mainData, rows...)
-	}
-	answers := make(map[string]*relstore.Rows, len(m.Columns))
-	for _, c := range m.Columns {
-		at, err := db.Table(answerTable(form, c))
-		if err != nil {
-			return nil, err
-		}
-		var data []relstore.Row
-		for _, k := range keys {
-			rows, err := at.Lookup(form.KeyColumn, k)
-			if err != nil {
-				return nil, err
-			}
-			data = append(data, rows...)
-		}
-		answers[c] = &relstore.Rows{Schema: at.Schema(), Data: data}
-	}
-	return m.assemble(form, &relstore.Rows{Schema: mt.Schema(), Data: mainData}, answers)
+	return rows, exact, nil
 }
 
 // Update implements Layout: moved columns rewrite their answer row (insert

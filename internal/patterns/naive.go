@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 
 	"guava/internal/relstore"
@@ -37,31 +38,18 @@ func (Naive) Write(db *relstore.DB, form FormInfo, row relstore.Row) error {
 	return t.Insert(row)
 }
 
-// Read implements Layout.
-func (Naive) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
+// Read implements Layout: the table scan evaluates where, probing the key
+// index Install created for a key equality or IN, so the read is exact.
+func (Naive) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
 	t, err := db.Table(form.Name)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return t.Rows(), nil
-}
-
-// ReadKeys implements KeyedReader: one index probe per key against the hash
-// index Install created.
-func (Naive) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
-	t, err := db.Table(form.Name)
+	rows, err := t.Select(where)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var data []relstore.Row
-	for _, k := range keys {
-		rows, err := t.Lookup(form.KeyColumn, k)
-		if err != nil {
-			return nil, err
-		}
-		data = append(data, rows...)
-	}
-	return &relstore.Rows{Schema: t.Schema(), Data: data}, nil
+	return rows, true, nil
 }
 
 // Update implements Layout.

@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 
 	"guava/internal/relstore"
@@ -74,25 +75,33 @@ func (p *Partitioned) Write(db *relstore.DB, form FormInfo, row relstore.Row) er
 	return p.Base.Write(db, p.partForm(form, i), row)
 }
 
-// Read implements Layout.
-func (p *Partitioned) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
+// Read implements Layout: every partition's base read gets the same where
+// and miss sink, and the results union. The read is exact when every
+// partition's is.
+func (p *Partitioned) Read(ctx context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, miss func(SourceMiss)) (*relstore.Rows, bool, error) {
 	if err := p.check(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	parts := make([]*relstore.Rows, 0, p.N)
+	exact := true
 	for i := 0; i < p.N; i++ {
-		r, err := p.Base.Read(db, p.partForm(form, i))
+		r, ok, err := p.Base.Read(ctx, db, p.partForm(form, i), where, miss)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
+		exact = exact && ok
 		// Conform column order across partitions before union.
 		r, err = relstore.Project(r, form.Schema.Names()...)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		parts = append(parts, r)
 	}
-	return relstore.UnionAll(parts...)
+	rows, err := relstore.UnionAll(parts...)
+	if err != nil {
+		return nil, false, err
+	}
+	return rows, exact, nil
 }
 
 // Update implements Layout.

@@ -10,9 +10,14 @@
 // schema-level rewrites such as Audit, Rename, Encode, Sentinel, Lookup,
 // Delimited) wrapped around exactly one Layout (a physical table design:
 // Naive, Merge, Split, Generic/EAV, Partitioned). Stacks are bidirectional:
-// Write pushes a naive row down to physical storage, Read reconstructs the
-// naive relation, and Update routes a single-column change through every
-// layer — so the g-tree behaves like a view over any physical design.
+// Write pushes a naive row down to physical storage, Update routes a
+// single-column change through every layer, and every read — the whole
+// relation, a key scope, a g-tree query — is one pipeline: the predicate is
+// rewritten inward through the transforms (pushdown.go), the layout's one
+// Read evaluates what it can of it at the physical scan and hands the
+// records it cannot reconstruct to a miss sink, and the stack decodes
+// outward and re-applies the predicate (divert.go). So the g-tree behaves
+// like a view over any physical design.
 //
 // The eleven named patterns:
 //
@@ -57,8 +62,13 @@ type Layout interface {
 	Install(db *relstore.DB, form FormInfo) error
 	// Write stores one naive-schema row.
 	Write(db *relstore.DB, form FormInfo, row relstore.Row) error
-	// Read reconstructs the entire naive relation from physical storage.
-	Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error)
+	// Read reconstructs from physical storage every record of the naive
+	// relation that satisfies where (nil: every record), and possibly
+	// more: exact reports that every returned row satisfies where — it
+	// was evaluated at the physical scan — and otherwise the caller
+	// filters. A source record the layout cannot reconstruct goes to miss
+	// instead of failing the read.
+	Read(ctx context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, miss func(SourceMiss)) (rows *relstore.Rows, exact bool, err error)
 	// Update sets one column of the record with the given key, returning
 	// how many records changed.
 	Update(db *relstore.DB, form FormInfo, key relstore.Value, col string, v relstore.Value) (int, error)
@@ -84,15 +94,6 @@ type Transform interface {
 	Decode(db *relstore.DB, outer, inner FormInfo, rows *relstore.Rows) (*relstore.Rows, error)
 	// AdaptUpdate rewrites a single-column update for inner layers.
 	AdaptUpdate(db *relstore.DB, outer, inner FormInfo, col string, v relstore.Value) (string, relstore.Value, error)
-}
-
-// KeyedReader is the optional fast path behind a key-scoped
-// Stack.ReadDiverting: a Layout that can reconstruct only the records with
-// the given instance keys (index probes instead of a full relation
-// rebuild). Layouts without it fall back to Read plus a key-membership
-// filter.
-type KeyedReader interface {
-	ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error)
 }
 
 // Stack is a complete pattern configuration: outermost transform first, then
@@ -204,21 +205,10 @@ func (s *Stack) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) 
 	return strict(s.ReadDiverting(context.Background(), db, form, append([]relstore.Value{}, keys...)))
 }
 
-// Query reads the naive relation, filters it with pred, and projects the
-// named columns (all columns when cols is nil). This is the translation of a
-// g-tree query through the pattern stack; when every layer cooperates the
-// predicate is pushed down to the physical scan (see pushdown.go).
-func (s *Stack) Query(db *relstore.DB, form FormInfo, pred relstore.Pred, cols []string) (*relstore.Rows, error) {
-	res, err := s.QueryWithInfo(db, form, pred, cols)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
-// QueryNoPushdown is Query with pushdown disabled — the ablation baseline.
+// QueryNoPushdown is QueryWithInfo with pushdown disabled — the ablation
+// baseline: it reads the whole relation, then filters and projects.
 func (s *Stack) QueryNoPushdown(db *relstore.DB, form FormInfo, pred relstore.Pred, cols []string) (*relstore.Rows, error) {
-	rows, _, err := s.read(db, form, nil, false)
+	rows, err := s.Read(db, form)
 	if err != nil {
 		return nil, err
 	}

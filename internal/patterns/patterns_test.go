@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -57,7 +58,8 @@ func roundTrip(t *testing.T, stack *Stack) {
 }
 
 // allStacks enumerates a representative set of pattern stacks: every layout
-// alone, every transform over Naive, and deep compositions.
+// alone, every transform over Naive, and deep compositions. It is the one
+// fixture of the round-trip, query, pushdown and key-scope tests.
 func allStacks(t *testing.T) map[string]*Stack {
 	t.Helper()
 	form, _ := testForm(t)
@@ -80,7 +82,7 @@ func allStacks(t *testing.T) map[string]*Stack {
 		"multi":   NewStack(MultiValued{Columns: []string{"Smoking", "Alcohol"}}),
 
 		"audit":    NewStack(Naive{}, &Audit{}),
-		"rename":   NewStack(Naive{}, &Rename{Physical: map[string]string{"Smoking": "fld_0107", "ProcedureID": "pk", "Hypoxia": "fld_0221"}}),
+		"rename":   NewStack(Naive{}, &Rename{Physical: map[string]string{"Smoking": "fld_0107", "ProcedureID": "pk", "Hypoxia": "fld_0221", "Age": "fld_9"}}),
 		"encode":   NewStack(Naive{}, &Encode{}),
 		"sentinel": NewStack(Naive{}, &Sentinel{}),
 		"lookup":   NewStack(Naive{}, &Lookup{Columns: []string{"Smoking", "Alcohol"}}),
@@ -95,6 +97,7 @@ func allStacks(t *testing.T) map[string]*Stack {
 			&Audit{},
 			&Sentinel{},
 		),
+		"deepnaive": NewStack(Naive{}, &Audit{}, &Rename{Physical: map[string]string{"Smoking": "s"}}, &Encode{}),
 		"deep": NewStack(&Partitioned{Base: &Split{}, N: 2},
 			&Audit{},
 			&Rename{Physical: map[string]string{"Alcohol": "etoh"}},
@@ -146,12 +149,13 @@ func TestStackQuery(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		got, err := stack.Query(db, form,
+		res, err := stack.QueryWithInfo(db, form,
 			relstore.Eq("Smoking", relstore.Str("Current")),
 			[]string{"ProcedureID", "PacksPerDay"})
 		if err != nil {
 			t.Fatalf("%s: query: %v", name, err)
 		}
+		got := res.Rows
 		if got.Len() != 2 {
 			t.Errorf("%s: query returned %d rows, want 2", name, got.Len())
 		}
@@ -184,11 +188,11 @@ func TestStackUpdate(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("%s: update touched %d records, want 1", name, n)
 		}
-		got, err := stack.Query(db, form, relstore.Eq("ProcedureID", relstore.Int(4)), []string{"Smoking"})
+		res, err := stack.QueryWithInfo(db, form, relstore.Eq("ProcedureID", relstore.Int(4)), []string{"Smoking"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != 1 || !got.Data[0][0].Equal(relstore.Str("Current")) {
+		if got := res.Rows; got.Len() != 1 || !got.Data[0][0].Equal(relstore.Str("Current")) {
 			t.Errorf("%s: after update row = %v", name, got.Data)
 		}
 	}
@@ -731,7 +735,7 @@ func TestLayoutMiscCoverage(t *testing.T) {
 		t.Errorf("merge tables = %v", got)
 	}
 	// Merge read of a missing physical table errors.
-	if _, err := m.Read(relstore.NewDB("empty"), form); err == nil {
+	if _, _, err := m.Read(context.Background(), relstore.NewDB("empty"), form, nil, nil); err == nil {
 		t.Error("merge read without install must fail")
 	}
 	// Merge update on an unknown column errors.

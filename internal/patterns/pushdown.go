@@ -1,16 +1,22 @@
 package patterns
 
 import (
+	"context"
+
 	"guava/internal/relstore"
 )
 
-// Predicate pushdown: translating a g-tree query's WHERE clause through the
-// pattern stack so filtering happens at the physical scan instead of after
-// view reconstruction — the paper's "we can translate queries specified
-// against the g-tree into predefined SQL queries … that depend on the
-// database patterns used". Every rewrite here is conservative: a transform
-// that cannot translate a predicate exactly reports !ok and the stack falls
-// back to filtering the decoded view (always correct, just slower).
+// Predicate pushdown: translating a g-tree query's WHERE clause, or a
+// read's key scope, through the pattern stack so filtering happens at the
+// physical scan instead of after view reconstruction — the paper's "we can
+// translate queries specified against the g-tree into predefined SQL
+// queries … that depend on the database patterns used". Every rewrite here
+// is conservative: a transform that cannot translate a predicate exactly
+// reports !ok and the layout reads unfiltered. The layout's Read then
+// evaluates what it can of the rewritten predicate — Naive, Merge and
+// Partitioned over them all of it, the layouts that fetch by key its key
+// conjuncts (KeyConjuncts) — and the stack re-applies the predicate to the
+// decoded view either way (always correct, just slower on fallback).
 
 // PredRewriter is implemented by transforms that can translate an
 // outer-schema predicate into the inner schema.
@@ -18,32 +24,23 @@ type PredRewriter interface {
 	RewritePred(db *relstore.DB, outer, inner FormInfo, p relstore.Pred) (relstore.Pred, bool)
 }
 
-// FilteredReader is implemented by layouts that can apply a predicate during
-// the physical scan.
-type FilteredReader interface {
-	ReadWhere(db *relstore.DB, form FormInfo, pred relstore.Pred) (*relstore.Rows, error)
-}
-
 // QueryResult carries a query's rows plus how it was executed, for Explain
 // output and the pushdown ablation benchmarks.
 type QueryResult struct {
 	Rows *relstore.Rows
-	// PushedDown reports whether the predicate was translated to the
-	// physical scan.
+	// PushedDown reports whether the predicate was evaluated at the
+	// physical scan: every transform rewrote it and the layout read it
+	// exactly.
 	PushedDown bool
 }
 
-// QueryWithInfo is Query, reporting whether pushdown happened.
+// QueryWithInfo filters the naive relation with pred and projects the named
+// columns (all columns when cols is nil) — the translation of a g-tree
+// query through the pattern stack — reporting whether pred was pushed down.
+// It fails on the first source miss.
 func (s *Stack) QueryWithInfo(db *relstore.DB, form FormInfo, pred relstore.Pred, cols []string) (QueryResult, error) {
-	rows, pushed, err := s.read(db, form, pred, true)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	// The outer predicate is re-applied after decode: with an exact rewrite
-	// this is a no-op over an already-filtered subset; it also makes the
-	// fallback path and the pushdown path share one correctness contract.
-	rows, err = relstore.Select(rows, pred)
-	if err != nil {
+	rows, misses, pushed, err := s.readThrough(context.TODO(), db, form, pred)
+	if rows, err = strict(rows, misses, err); err != nil {
 		return QueryResult{}, err
 	}
 	if cols != nil {
@@ -53,46 +50,6 @@ func (s *Stack) QueryWithInfo(db *relstore.DB, form FormInfo, pred relstore.Pred
 		}
 	}
 	return QueryResult{Rows: rows, PushedDown: pushed}, nil
-}
-
-// read reconstructs the naive relation; when usePushdown is set and every
-// layer cooperates, the predicate is rewritten inward and applied at the
-// physical scan.
-func (s *Stack) read(db *relstore.DB, form FormInfo, pred relstore.Pred, usePushdown bool) (*relstore.Rows, bool, error) {
-	infos, err := s.adaptAll(form)
-	if err != nil {
-		return nil, false, err
-	}
-	var rows *relstore.Rows
-	pushed := false
-	if usePushdown && pred != nil {
-		if inner, ok := s.rewriteInward(db, infos, pred); ok {
-			if fr, ok := s.Layout.(FilteredReader); ok {
-				rows, err = fr.ReadWhere(db, infos[len(infos)-1], inner)
-				if err != nil {
-					return nil, false, err
-				}
-				pushed = true
-			}
-		}
-	}
-	if rows == nil {
-		rows, err = s.Layout.Read(db, infos[len(infos)-1])
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	for i := len(s.Transforms) - 1; i >= 0; i-- {
-		rows, err = s.Transforms[i].Decode(db, infos[i], infos[i+1], rows)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	rows, err = Conform(rows, form.Schema)
-	if err != nil {
-		return nil, false, err
-	}
-	return rows, pushed, nil
 }
 
 // rewriteInward pushes a predicate through every transform, outermost first.
@@ -110,60 +67,6 @@ func (s *Stack) rewriteInward(db *relstore.DB, infos []FormInfo, pred relstore.P
 		cur = next
 	}
 	return cur, true
-}
-
-// --- Layout-side filtered reads ---
-
-// ReadWhere implements FilteredReader for the Naive layout.
-func (Naive) ReadWhere(db *relstore.DB, form FormInfo, pred relstore.Pred) (*relstore.Rows, error) {
-	t, err := db.Table(form.Name)
-	if err != nil {
-		return nil, err
-	}
-	return t.Select(pred)
-}
-
-// ReadWhere implements FilteredReader for the Merge layout: the pushed
-// predicate conjoins with the discriminator filter at scan time.
-func (m *Merge) ReadWhere(db *relstore.DB, form FormInfo, pred relstore.Pred) (*relstore.Rows, error) {
-	if err := m.knows(form); err != nil {
-		return nil, err
-	}
-	t, err := db.Table(m.Table)
-	if err != nil {
-		return nil, err
-	}
-	mine, err := t.Select(relstore.And(relstore.Eq(m.Discriminator, relstore.Str(form.Name)), pred))
-	if err != nil {
-		return nil, err
-	}
-	return relstore.Project(mine, form.Schema.Names()...)
-}
-
-// ReadWhere implements FilteredReader for Partitioned when the base layout
-// filters: each partition scans with the predicate, results union.
-func (p *Partitioned) ReadWhere(db *relstore.DB, form FormInfo, pred relstore.Pred) (*relstore.Rows, error) {
-	fr, ok := p.Base.(FilteredReader)
-	if !ok {
-		// Fall back to the unfiltered read; Stack re-applies the predicate.
-		return p.Read(db, form)
-	}
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	parts := make([]*relstore.Rows, 0, p.N)
-	for i := 0; i < p.N; i++ {
-		r, err := fr.ReadWhere(db, p.partForm(form, i), pred)
-		if err != nil {
-			return nil, err
-		}
-		r, err = relstore.Project(r, form.Schema.Names()...)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, r)
-	}
-	return relstore.UnionAll(parts...)
 }
 
 // --- Transform-side predicate rewrites ---

@@ -1,77 +1,75 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"guava/internal/relstore"
 )
 
-// pushdownStacks enumerates stacks whose every layer supports pushdown.
-func pushdownStacks(t *testing.T) map[string]*Stack {
-	t.Helper()
-	form, _ := testForm(t)
-	merge, err := NewMerge("AllForms", "FormName", []FormInfo{form})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Stack{
-		"naive":           NewStack(Naive{}),
-		"merge":           NewStack(merge),
-		"part":            NewStack(&Partitioned{Base: Naive{}, N: 3}),
-		"audit":           NewStack(Naive{}, &Audit{}),
-		"rename":          NewStack(Naive{}, &Rename{Physical: map[string]string{"Smoking": "fld_0107", "Age": "fld_9"}}),
-		"encode":          NewStack(Naive{}, &Encode{}),
-		"sentinel":        NewStack(Naive{}, &Sentinel{}),
-		"lookup":          NewStack(Naive{}, &Lookup{Columns: []string{"Smoking", "Alcohol"}}),
-		"delim-untouched": NewStack(Naive{}, &Delimited{Into: "packed", Columns: []string{"Smoking", "Alcohol"}}),
-		"deep":            NewStack(Naive{}, &Audit{}, &Rename{Physical: map[string]string{"Smoking": "s"}}, &Encode{}),
-	}
+// scanFilters names the allStacks stacks whose layout evaluates any
+// rewritten predicate at the physical scan (Naive, Merge, Partitioned over
+// Naive). The others fetch by key and reconstruct first, so only a key-only
+// predicate is exact at their scan.
+var scanFilters = map[string]bool{
+	"naive": true, "merge": true, "part": true, "audit": true, "rename": true,
+	"encode": true, "sentinel": true, "lookup": true, "delim": true, "deepnaive": true,
 }
 
-// pushdownPreds enumerates predicates spanning the rewrite cases. The bool
-// reports whether the named stack is expected to push the predicate down.
+// pushdownPreds enumerates predicates spanning the rewrite cases. keyOnly
+// marks a predicate over the key column alone. noPush lists the stacks that
+// must fall back anyway: a transform declines the predicate, or an Audit
+// liveness conjunct keeps a layout that fetches by key from evaluating all
+// of it.
 func pushdownPreds() []struct {
-	name string
-	pred relstore.Pred
-	// noPush lists stacks that must fall back for this predicate.
-	noPush map[string]bool
+	name    string
+	pred    relstore.Pred
+	keyOnly bool
+	noPush  map[string]bool
 } {
-	all := func() map[string]bool { return map[string]bool{} }
+	none := map[string]bool{}
+	packed := map[string]bool{"delim": true}
+	audited := map[string]bool{"vendor": true, "legacy": true, "deep": true, "sparseaudit": true}
 	return []struct {
-		name   string
-		pred   relstore.Pred
-		noPush map[string]bool
+		name    string
+		pred    relstore.Pred
+		keyOnly bool
+		noPush  map[string]bool
 	}{
-		{"eq-string", relstore.Eq("Smoking", relstore.Str("Current")), map[string]bool{"delim-untouched": true}},
-		{"eq-bool", relstore.Eq("Hypoxia", relstore.Bool(true)), all()},
-		{"truth-bool", relstore.Truth(relstore.Col("Hypoxia")), all()},
-		{"ordered-float", relstore.Cmp(relstore.CmpGt, relstore.Col("PacksPerDay"), relstore.Lit(relstore.Float(1))), all()},
-		{"ordered-mirrored", relstore.Cmp(relstore.CmpLe, relstore.Lit(relstore.Int(50)), relstore.Col("Age")), all()},
-		{"is-null", relstore.IsNull(relstore.Col("Smoking")), map[string]bool{"delim-untouched": true}},
-		{"is-not-null", relstore.IsNotNull(relstore.Col("PacksPerDay")), all()},
-		{"eq-null", relstore.Eq("Alcohol", relstore.Null()), map[string]bool{"delim-untouched": true}},
-		{"in-list", relstore.In(relstore.Col("Smoking"), relstore.Str("Current"), relstore.Str("Previous")), map[string]bool{"delim-untouched": true}},
+		{"eq-string", relstore.Eq("Smoking", relstore.Str("Current")), false, packed},
+		{"eq-bool", relstore.Eq("Hypoxia", relstore.Bool(true)), false, none},
+		{"truth-bool", relstore.Truth(relstore.Col("Hypoxia")), false, none},
+		{"ordered-float", relstore.Cmp(relstore.CmpGt, relstore.Col("PacksPerDay"), relstore.Lit(relstore.Float(1))), false, none},
+		{"ordered-mirrored", relstore.Cmp(relstore.CmpLe, relstore.Lit(relstore.Int(50)), relstore.Col("Age")), false, none},
+		{"is-null", relstore.IsNull(relstore.Col("Smoking")), false, packed},
+		{"is-not-null", relstore.IsNotNull(relstore.Col("PacksPerDay")), false, none},
+		{"eq-null", relstore.Eq("Alcohol", relstore.Null()), false, packed},
+		{"in-list", relstore.In(relstore.Col("Smoking"), relstore.Str("Current"), relstore.Str("Previous")), false, packed},
 		{"conjunction", relstore.And(
 			relstore.Eq("Smoking", relstore.Str("Current")),
 			relstore.Cmp(relstore.CmpGe, relstore.Col("Age"), relstore.Lit(relstore.Int(40))),
-		), map[string]bool{"delim-untouched": true}},
+		), false, packed},
 		{"disjunction", relstore.Or(
 			relstore.Eq("Hypoxia", relstore.Bool(true)),
 			relstore.IsNull(relstore.Col("Smoking")),
-		), map[string]bool{"delim-untouched": true}},
-		{"negation", relstore.Not(relstore.Eq("Smoking", relstore.Str("None"))), map[string]bool{"delim-untouched": true}},
-		{"unseen-label", relstore.Eq("Smoking", relstore.Str("NeverWritten")), map[string]bool{"delim-untouched": true}},
+		), false, packed},
+		{"negation", relstore.Not(relstore.Eq("Smoking", relstore.Str("None"))), false, packed},
+		{"unseen-label", relstore.Eq("Smoking", relstore.Str("NeverWritten")), false, packed},
+		{"key-eq", relstore.Eq("ProcedureID", relstore.Int(2)), true, audited},
+		{"key-in", relstore.In(relstore.Col("ProcedureID"), relstore.Int(2), relstore.Int(4), relstore.Int(9)), true, audited},
 	}
 }
 
-// TestPushdownEquivalence: for every cooperative stack and every predicate
-// shape, the pushed-down query returns exactly what the fallback
-// (materialize-then-filter) path returns, and pushdown actually engaged.
+// TestPushdownEquivalence: for every stack and every predicate shape, the
+// pushed-down query returns exactly what the fallback (materialize-then-
+// filter) path returns, and PushedDown holds exactly where the layout
+// evaluated the predicate at the scan and no transform declined it.
 func TestPushdownEquivalence(t *testing.T) {
 	form, rows := testForm(t)
-	for name, stack := range pushdownStacks(t) {
+	for name, stack := range allStacks(t) {
 		db := relstore.NewDB("contrib")
 		if err := stack.Install(db, form); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -94,7 +92,7 @@ func TestPushdownEquivalence(t *testing.T) {
 				t.Errorf("%s/%s: pushdown result differs\npushed:\n%s\nfallback:\n%s",
 					name, pc.name, got.Rows.Format(), want.Format())
 			}
-			wantPush := !pc.noPush[name]
+			wantPush := !pc.noPush[name] && (pc.keyOnly || scanFilters[name])
 			if got.PushedDown != wantPush {
 				t.Errorf("%s/%s: PushedDown = %v, want %v", name, pc.name, got.PushedDown, wantPush)
 			}
@@ -136,8 +134,8 @@ func TestPushdownFallsBackOnPackedColumns(t *testing.T) {
 	}
 }
 
-// TestPushdownGenericFallsBack: the EAV layout has no filtered read; queries
-// still work via fallback.
+// TestPushdownGenericFallsBack: the EAV layout fetches only by key, so a
+// non-key predicate falls back; queries still work.
 func TestPushdownGenericFallsBack(t *testing.T) {
 	form, rows := testForm(t)
 	stack := NewStack(Generic{}, &Audit{})
@@ -254,6 +252,96 @@ func TestPushdownPropertyRandom(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKeyScopedReadEqualsRestrictedFullRead: on every stack, a key-scoped
+// ReadDiverting returns the full read restricted to the keys, as a
+// multiset, whatever the key set holds — present and absent keys,
+// duplicates, a NULL, keys deprecated through Audit, or nothing at all.
+// White-box, the key scope rewrites through every transform and reaches the
+// layout as a key conjunct, so no keyed read degrades to a full scan.
+func TestKeyScopedReadEqualsRestrictedFullRead(t *testing.T) {
+	form, rows := testForm(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(14))
+	for name, stack := range allStacks(t) {
+		db := relstore.NewDB("contrib")
+		if err := stack.Install(db, form); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range rows {
+			if err := stack.WriteRow(db, form, r); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		keySets := [][]relstore.Value{
+			{},
+			{relstore.Null()},
+			{relstore.Int(1), relstore.Int(1), relstore.Int(9)},
+			{relstore.Int(3), relstore.Null(), relstore.Int(5)},
+		}
+		for _, tr := range stack.Transforms {
+			if _, ok := tr.(*Audit); ok {
+				for _, k := range []int64{2, 4} {
+					if _, err := stack.Deprecate(db, form, relstore.Int(k)); err != nil {
+						t.Fatalf("%s: deprecate %d: %v", name, k, err)
+					}
+				}
+				keySets = append(keySets, []relstore.Value{relstore.Int(2), relstore.Int(4), relstore.Int(5)})
+			}
+		}
+		for i := 0; i < 12; i++ {
+			keys := []relstore.Value{}
+			for n := rng.Intn(6); n > 0; n-- {
+				k := relstore.Int(int64(rng.Intn(8)))
+				if rng.Intn(8) == 0 {
+					k = relstore.Null()
+				}
+				keys = append(keys, k)
+			}
+			keySets = append(keySets, keys)
+		}
+
+		full, misses, err := stack.ReadDiverting(ctx, db, form, nil)
+		if err != nil || len(misses) > 0 {
+			t.Fatalf("%s: full read: %v, misses %v", name, err, misses)
+		}
+		ki := full.Schema.Index(form.KeyColumn)
+		for _, keys := range keySets {
+			got, misses, err := stack.ReadDiverting(ctx, db, form, keys)
+			if err != nil || len(misses) > 0 {
+				t.Fatalf("%s: keys %v: %v, misses %v", name, keys, err, misses)
+			}
+			in := map[string]bool{}
+			for _, k := range keys {
+				if !k.IsNull() {
+					in[k.Key()] = true
+				}
+			}
+			want := &relstore.Rows{Schema: full.Schema}
+			for _, r := range full.Data {
+				if in[r[ki].Key()] {
+					want.Data = append(want.Data, r)
+				}
+			}
+			if !got.EqualUnordered(want) {
+				t.Errorf("%s: keys %v:\n%s\nwant:\n%s", name, keys, got.Format(), want.Format())
+			}
+		}
+
+		infos, err := stack.adaptAll(form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, ok := stack.rewriteInward(db, infos, relstore.In(relstore.Col(form.KeyColumn), relstore.Int(1), relstore.Int(4)))
+		if !ok {
+			t.Errorf("%s: a key scope must rewrite through every transform", name)
+			continue
+		}
+		if keyed, _ := KeyConjuncts(infos[len(infos)-1], inner); keyed == nil {
+			t.Errorf("%s: no key conjunct reaches the layout in %s", name, inner.SQL())
+		}
 	}
 }
 

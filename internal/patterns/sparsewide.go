@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 
 	"guava/internal/relstore"
@@ -143,30 +144,24 @@ func (w SparseWide) decode(form FormInfo, phys *relstore.Rows) (*relstore.Rows, 
 	return out, nil
 }
 
-// Read implements Layout.
-func (w SparseWide) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
+// Read implements Layout: the wide table is fetched with the key conjuncts
+// of where (an index probe), so the read is exact when where is a key
+// predicate.
+func (w SparseWide) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
 	t, err := db.Table(wideTable(form))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return w.decode(form, t.Rows())
-}
-
-// ReadKeys implements KeyedReader: one index probe per key.
-func (w SparseWide) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
-	t, err := db.Table(wideTable(form))
+	keyed, exact := KeyConjuncts(form, where)
+	phys, err := t.Select(keyed)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var data []relstore.Row
-	for _, k := range keys {
-		rows, err := t.Lookup(form.KeyColumn, k)
-		if err != nil {
-			return nil, err
-		}
-		data = append(data, rows...)
+	rows, err := w.decode(form, phys)
+	if err != nil {
+		return nil, false, err
 	}
-	return w.decode(form, &relstore.Rows{Schema: t.Schema(), Data: data})
+	return rows, exact, nil
 }
 
 // Update implements Layout.

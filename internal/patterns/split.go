@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"context"
 	"fmt"
 
 	"guava/internal/relstore"
@@ -86,7 +87,7 @@ func (s *Split) partSchema(form FormInfo, part []string) (*relstore.Schema, erro
 }
 
 // Install implements Layout. Every part table indexes the shared key so
-// per-record fetches (ReadKeys, Update) probe instead of scanning.
+// per-record fetches (keyed reads, Update) probe instead of scanning.
 func (s *Split) Install(db *relstore.DB, form FormInfo) error {
 	parts, err := s.partition(form)
 	if err != nil {
@@ -133,43 +134,24 @@ func (s *Split) Write(db *relstore.DB, form FormInfo, row relstore.Row) error {
 }
 
 // Read implements Layout. It joins the part tables on the key (the paper's
-// Join transformation).
-func (s *Split) Read(db *relstore.DB, form FormInfo) (*relstore.Rows, error) {
-	return s.readParts(db, form, nil)
-}
-
-// ReadKeys implements KeyedReader: the same join pipeline as Read, but each
-// part contributes only the rows for the requested keys (index probes via
-// the key-membership predicate).
-func (s *Split) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
-	if keys == nil {
-		keys = []relstore.Value{}
-	}
-	return s.readParts(db, form, keys)
-}
-
-// readParts joins the part tables on the key. With keys == nil every row is
-// fetched; otherwise each part is filtered to the given keys first.
-func (s *Split) readParts(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
+// Join transformation); each part contributes only the rows the key
+// conjuncts of where select (index probes), so the read is exact when
+// where is a key predicate.
+func (s *Split) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
 	parts, err := s.partition(form)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	fetch := func(t *relstore.Table) (*relstore.Rows, error) {
-		if keys == nil {
-			return t.Rows(), nil
-		}
-		return t.Select(relstore.In(relstore.Col(form.KeyColumn), keys...))
-	}
+	keyed, exact := KeyConjuncts(form, where)
 	var acc *relstore.Rows
 	for i := range parts {
 		t, err := db.Table(partTable(form, i))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		rows, err := fetch(t)
+		rows, err := t.Select(keyed)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if acc == nil {
 			acc = rows
@@ -177,7 +159,7 @@ func (s *Split) readParts(db *relstore.DB, form FormInfo, keys []relstore.Value)
 		}
 		joined, err := relstore.Join(acc, rows, form.KeyColumn, form.KeyColumn, fmt.Sprintf("p%d", i))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		// Drop the duplicated key column from the right side.
 		keep := make([]string, 0, joined.Schema.Arity()-1)
@@ -189,13 +171,17 @@ func (s *Split) readParts(db *relstore.DB, form FormInfo, keys []relstore.Value)
 		}
 		acc, err = relstore.Project(joined, keep...)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 	if acc == nil {
-		return &relstore.Rows{Schema: form.Schema}, nil
+		return &relstore.Rows{Schema: form.Schema}, exact, nil
 	}
-	return relstore.Project(acc, form.Schema.Names()...)
+	rows, err := relstore.Project(acc, form.Schema.Names()...)
+	if err != nil {
+		return nil, false, err
+	}
+	return rows, exact, nil
 }
 
 // Update implements Layout: the change lands in whichever part table holds

@@ -21,11 +21,12 @@ import (
 // holds over text exactly as over tables, and everything downstream
 // (classifiers, delta refresh, studyd) runs unchanged.
 //
-// Read fails on the first extraction miss; ReadDiverting (the
-// patterns.DivertingReader protocol) is the production path, for full and
-// key-scoped reads alike, separating clean rows from per-report misses so
-// the ETL quarantine can dead-letter them under the run budget instead of
-// failing the corpus.
+// Read hands every report that does not extract cleanly to the stack's
+// miss sink, for full and key-scoped reads alike, separating clean rows
+// from per-report misses: Stack.ReadDiverting returns them so the ETL
+// quarantine can dead-letter them under the run budget instead of failing
+// the corpus, while the strict stack reads (Read, ReadKeys, queries) fail
+// on the first.
 type Layout struct {
 	ext *Extractor
 }
@@ -115,46 +116,30 @@ func (l *Layout) extractAll(docs *relstore.Rows) (*relstore.Rows, []patterns.Sou
 	return out, misses
 }
 
-// Read implements patterns.Layout: extract every stored report, failing on
-// the first miss (ReadDiverting quarantines instead).
-func (l *Layout) Read(db *relstore.DB, form patterns.FormInfo) (*relstore.Rows, error) {
-	rows, misses, err := l.ReadDiverting(context.Background(), db, form, nil)
-	if err == nil {
-		err = patterns.MissError(misses)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// ReadDiverting implements patterns.DivertingReader: the stored reports —
-// all of them, or one index probe per key when keys is set — are
-// extracted, clean rows flow, every miss comes back with report-span
-// provenance, and textsrc.* counters record the corpus health. Full and
-// key-scoped (delta) reads divert misses alike.
-func (l *Layout) ReadDiverting(ctx context.Context, db *relstore.DB, form patterns.FormInfo, keys []relstore.Value) (*relstore.Rows, []patterns.SourceMiss, error) {
+// Read implements patterns.Layout: the stored reports that the key
+// conjuncts of where select (all of them, or an index probe) are
+// extracted, so the read is exact when where is a key predicate. Clean rows
+// flow, every miss goes to the sink with report-span provenance, and
+// textsrc.* counters record the corpus health.
+func (l *Layout) Read(ctx context.Context, db *relstore.DB, form patterns.FormInfo, where relstore.Pred, miss func(patterns.SourceMiss)) (*relstore.Rows, bool, error) {
 	t, err := db.Table(ReportsTable(form.Name))
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	docs := &relstore.Rows{Schema: t.Schema()}
-	if keys == nil {
-		docs = t.Rows()
-	}
-	for _, k := range keys {
-		stored, err := t.Lookup(form.KeyColumn, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		docs.Data = append(docs.Data, stored...)
+	keyed, exact := patterns.KeyConjuncts(form, where)
+	docs, err := t.Select(keyed)
+	if err != nil {
+		return nil, false, err
 	}
 	rows, misses := l.extractAll(docs)
+	for _, ms := range misses {
+		miss(ms)
+	}
 	m := obs.MetricsFrom(ctx)
 	m.Counter("textsrc.reports.in").Add(int64(len(docs.Data)))
 	m.Counter("textsrc.reports.diverted").Add(int64(len(docs.Data) - len(rows.Data)))
 	m.Counter("textsrc.misses").Add(int64(len(misses)))
-	return rows, misses, nil
+	return rows, exact, nil
 }
 
 // Update implements patterns.Layout: extract the report, change the one

@@ -12,9 +12,10 @@
 //
 // Extraction is total but not infallible: a report can omit a required
 // field, carry an out-of-vocabulary value, or repeat a section ambiguously.
-// Those misses never drop silently — Layout.ReadDiverting reports each one
-// with span provenance (report id + byte range + rule id) so the ETL layer
-// dead-letters it into the row-level quarantine under the run budget.
+// Those misses never drop silently — Layout.Read reports each one to the
+// stack's miss sink with span provenance (report id + byte range + rule
+// id) so the ETL layer dead-letters it into the row-level quarantine under
+// the run budget.
 package textsrc
 
 import (

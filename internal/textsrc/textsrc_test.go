@@ -2,6 +2,7 @@ package textsrc
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -330,7 +331,10 @@ func TestLayoutRoundTripThroughStack(t *testing.T) {
 	}
 }
 
-func TestReadDivertingSeparatesCorruptReports(t *testing.T) {
+// corruptCorpus journals the test rows' reports plus one corrupt report,
+// key 99, under a TextReports stack.
+func corruptCorpus(t *testing.T) (*patterns.Stack, patterns.FormInfo, *relstore.DB) {
+	t.Helper()
 	layout, err := NewLayout(testSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -351,6 +355,11 @@ func TestReadDivertingSeparatesCorruptReports(t *testing.T) {
 	if err := AppendDocument(db, stack, form, relstore.Int(99), corrupt); err != nil {
 		t.Fatal(err)
 	}
+	return stack, form, db
+}
+
+func TestReadDivertingSeparatesCorruptReports(t *testing.T) {
+	stack, form, db := corruptCorpus(t)
 
 	// The strict read refuses the corpus.
 	if _, err := stack.Read(db, form); err == nil {
@@ -376,6 +385,21 @@ func TestReadDivertingSeparatesCorruptReports(t *testing.T) {
 		t.Fatalf("locator = %q", m.Locator)
 	}
 
+	// A query that pins a key reads only that report: a clean key pushes
+	// down past the corrupt report, which fails as ReadKeys does.
+	res, err := stack.QueryWithInfo(db, form, relstore.Eq("NoteID", relstore.Int(2)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows.Len() != 1 || !res.PushedDown {
+		t.Fatalf("query key 2: %d rows, pushed down %v; want 1, true", res.Rows.Len(), res.PushedDown)
+	}
+	_, keyErr := stack.ReadKeys(db, form, []relstore.Value{relstore.Int(99)})
+	_, err = stack.QueryWithInfo(db, form, relstore.Eq("NoteID", relstore.Int(99)), nil)
+	if keyErr == nil || err == nil || err.Error() != keyErr.Error() {
+		t.Fatalf("query key 99: err = %v, want ReadKeys' %v", err, keyErr)
+	}
+
 	// The appended report was journaled for delta refresh.
 	hw, err := stack.Journal.HighWaterMark(db, form)
 	if err != nil {
@@ -387,6 +411,60 @@ func TestReadDivertingSeparatesCorruptReports(t *testing.T) {
 	}
 	if hw != 4 || len(keys) != 4 {
 		t.Fatalf("journal: hw=%d keys=%v", hw, keys)
+	}
+}
+
+// TestKeyScopedReadEqualsRestrictedFullRead: over a corpus holding one
+// corrupt report, a key-scoped read's rows and misses are the full read's
+// restricted to the keys.
+func TestKeyScopedReadEqualsRestrictedFullRead(t *testing.T) {
+	stack, form, db := corruptCorpus(t)
+	ctx := context.Background()
+	full, fullMisses, err := stack.ReadDiverting(ctx, db, form, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missText := func(ms []patterns.SourceMiss, in map[string]bool) []string {
+		var out []string
+		for _, m := range ms {
+			if in == nil || in[m.Key.Key()] {
+				out = append(out, m.Key.Display()+" "+m.Rule+" "+m.Locator)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, keys := range [][]relstore.Value{
+		{},
+		{relstore.Null()},
+		{relstore.Int(99)},
+		{relstore.Int(1), relstore.Int(99), relstore.Int(99)},
+		{relstore.Int(2), relstore.Int(7)},
+		{relstore.Int(3), relstore.Null(), relstore.Int(1)},
+		{relstore.Int(1), relstore.Int(2), relstore.Int(3), relstore.Int(99)},
+	} {
+		in := map[string]bool{}
+		for _, k := range keys {
+			if !k.IsNull() {
+				in[k.Key()] = true
+			}
+		}
+		rows, misses, err := stack.ReadDiverting(ctx, db, form, keys)
+		if err != nil {
+			t.Fatalf("keys %v: %v", keys, err)
+		}
+		want := &relstore.Rows{Schema: full.Schema}
+		for _, r := range full.Data {
+			if in[r[0].Key()] {
+				want.Data = append(want.Data, r)
+			}
+		}
+		if !rows.EqualUnordered(want) {
+			t.Errorf("keys %v: rows\n%s\nwant:\n%s", keys, rows.Format(), want.Format())
+		}
+		if got, want := missText(misses, nil), missText(fullMisses, in); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("keys %v: misses %q, want %q", keys, got, want)
+		}
 	}
 }
 
