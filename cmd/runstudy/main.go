@@ -667,15 +667,14 @@ func dumpWarehouse(dir, name string, budget int64) error {
 		}
 		w.Write(sl)
 		w.WriteByte('\n')
+		var line []byte
 		var rowErr error
 		scanErr := set.Scan(func(r relstore.Row) bool {
-			rl, err := relstore.MarshalRowJSON(r)
-			if err != nil {
-				rowErr = err
+			if line, rowErr = relstore.AppendRowJSON(line[:0], r); rowErr != nil {
 				return false
 			}
-			w.Write(rl)
-			w.WriteByte('\n')
+			line = append(line, '\n')
+			w.Write(line)
 			return true
 		})
 		if scanErr != nil {

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -111,4 +112,21 @@ func BenchmarkGroupBy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWriteTypedSegmented encodes a generation-sized study table the
+// way persisting a generation does: straight from table storage, in the
+// default segment size.
+func BenchmarkWriteTypedSegmented(b *testing.B) {
+	table := studyShapedTable(b, 20000)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := table.WriteTypedSegmented(&buf, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
 }

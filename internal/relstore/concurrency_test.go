@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -8,9 +9,11 @@ import (
 // TestConcurrentReadersWriter is the serving-path concurrency contract,
 // meant to run under -race: many readers extract from a table while a
 // writer refreshes it. Update and Delete hold the write lock for the whole
-// call and Select clones under the read lock, so every read must observe a
-// consistent snapshot — here, a table-wide invariant (all rows carry the
-// same Version) that the writer advances atomically.
+// call, and Select, Clone and WriteTypedSegmented read under the read lock,
+// so every read must observe a consistent snapshot — here, a table-wide
+// invariant (all rows carry the same Version) that the writer advances
+// atomically. A Clone shares the stored rows, so reading it back must show
+// its snapshot's Version however far the writer has moved on.
 func TestConcurrentReadersWriter(t *testing.T) {
 	schema := MustSchema(
 		Column{Name: "EntityKey", Type: KindInt, NotNull: true},
@@ -56,7 +59,7 @@ func TestConcurrentReadersWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < reads; j++ {
-				got, err := table.Select(nil)
+				got, err := snapshot(table, j%3)
 				if err != nil {
 					errs <- err
 					return
@@ -80,6 +83,22 @@ func TestConcurrentReadersWriter(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// snapshot reads the whole table one of three ways: Select, the v2 writer
+// read back, or a Select on a Clone.
+func snapshot(table *Table, way int) (*Rows, error) {
+	switch way {
+	case 1:
+		var buf bytes.Buffer
+		if err := table.WriteTypedSegmented(&buf, 16); err != nil {
+			return nil, err
+		}
+		return ReadTyped(&buf)
+	case 2:
+		return table.Clone().Select(nil)
+	}
+	return table.Select(nil)
 }
 
 // TestConcurrentDBTableLifecycle: table creation races against lookups

@@ -57,8 +57,13 @@
 // # Durable format
 //
 // Relations serialize in a typed line format (serial.go) that round-trips
-// bit for bit. [WriteTyped] emits the v1 single-stream layout;
-// [WriteTypedSegmented] emits the v2 segment-file layout (segment.go) whose
+// bit for bit. [AppendRowJSON] is the one row encoder: it appends a row's
+// kind-tagged JSON line to a byte buffer, byte-identical to what
+// encoding/json renders and without allocating for plain rows, leaving
+// escaped strings to json.Marshal. [WriteTyped] emits the v1 single-stream
+// layout; [WriteTypedSegmented] and [Table.WriteTypedSegmented] emit the v2
+// segment-file layout (segment.go), encoding every row line into one
+// buffer — the method straight from table storage, copying no row. The v2
 // header indexes fixed-size, CRC-checksummed blocks so [OpenSegments] can
 // serve a relation bigger than RAM from a [SegmentSet] that lazily loads
 // and LRU-evicts segments under a byte budget. [ReadTyped] sniffs the

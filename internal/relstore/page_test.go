@@ -279,3 +279,87 @@ func TestOrderKeepsIndexProbesExact(t *testing.T) {
 		}
 	}
 }
+
+// tableView is everything a reader can observe of a table: its rows in
+// storage order, scan-path and index-probe Selects, and Lookups.
+func tableView(t *testing.T, tb *Table) []*Rows {
+	t.Helper()
+	var scan []Row
+	tb.Scan(func(r Row) bool {
+		scan = append(scan, r.Clone())
+		return true
+	})
+	views := []*Rows{{Schema: tb.Schema(), Data: scan}}
+	for _, p := range []Pred{
+		Eq("K", Str("a")), In(Col("N"), Int(-3), Int(7)),
+		Cmp(CmpGt, Col("N"), Lit(Int(0))), IsNull(Col("K")),
+	} {
+		sel, err := tb.Select(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, sel)
+	}
+	for _, v := range []Value{Str("a"), Str("c"), Int(7), Int((int64(1) << 60) + 1)} {
+		col := "K"
+		if v.Kind() == KindInt {
+			col = "N"
+		}
+		got, err := tb.Lookup(col, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, &Rows{Schema: tb.Schema(), Data: got})
+	}
+	return views
+}
+
+// TestCloneIndependence: a Clone shares its source's stored rows, so every
+// mutation on either table must still leave what a reader sees of the
+// other — Scan, Select and index probes — unchanged.
+func TestCloneIndependence(t *testing.T) {
+	mutations := []struct {
+		name string
+		fn   func(*Table) error
+	}{
+		{"Insert", func(tb *Table) error {
+			return tb.InsertAll([]Row{{Int(1000), Str("a"), Int(7), Null(), Bool(true)}, {Int(1001), Null(), Null(), Float(1), Null()}})
+		}},
+		{"Delete", func(tb *Table) error {
+			_, err := tb.Delete(Or(Eq("K", Str("a")), Cmp(CmpGt, Col("N"), Lit(Int(3)))))
+			return err
+		}},
+		{"Update", func(tb *Table) error {
+			_, err := tb.Update(Eq("K", Str("c")), func(r Row) Row {
+				r[1], r[2] = Str("a"), Int(7)
+				return r
+			})
+			return err
+		}},
+		{"Order", func(tb *Table) error { return tb.Order("N", "K") }},
+		{"Truncate", func(tb *Table) error { tb.Truncate(); return nil }},
+	}
+	r := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 10; trial++ {
+		for _, m := range mutations {
+			for _, mutateClone := range []bool{true, false} {
+				tb := pageTable(t, pageRelation(r, 20+r.Intn(60), trial%2 == 0))
+				c := tb.Clone()
+				target, other := tb, c
+				if mutateClone {
+					target, other = c, tb
+				}
+				before := tableView(t, other)
+				if err := m.fn(target); err != nil {
+					t.Fatal(err)
+				}
+				for i, got := range tableView(t, other) {
+					if err := strictRowsEq(got, before[i]); err != nil {
+						t.Fatalf("trial %d: %s on the %s changed view %d of the other table: %v",
+							trial, m.name, map[bool]string{true: "clone", false: "original"}[mutateClone], i, err)
+					}
+				}
+			}
+		}
+	}
+}

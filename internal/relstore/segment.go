@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -20,12 +21,12 @@ import (
 //	segment 1:   ...
 //
 // Row lines are exactly the v1 kind-tagged JSON rows, so the two formats
-// share one row codec; only the framing differs. v1 files (whose first line
-// is the bare schema array, starting '[') remain readable by ReadTyped,
-// which sniffs the first byte. Writes are deterministic: the same relation
-// and segment size always produce the same bytes, preserving the
-// byte-identical round-trip invariant the checkpoint and warehouse layers
-// compare with cmp(1).
+// share one row codec (AppendRowJSON/UnmarshalRowJSON); only the framing
+// differs. v1 files (whose first line is the bare schema array, starting
+// '[') remain readable by ReadTyped, which sniffs the first byte. Writes
+// are deterministic: the same relation and segment size always produce the
+// same bytes, preserving the byte-identical round-trip invariant the
+// checkpoint and warehouse layers compare with cmp(1).
 
 // DefaultSegmentRows is the rows-per-segment used when a caller asks for
 // segmenting without choosing a size; it matches the operator batch width.
@@ -70,44 +71,72 @@ func schemaFromSerial(cols []serialColumn) (*Schema, error) {
 // segRows rows per segment (<= 0 uses DefaultSegmentRows). An empty relation
 // writes a header with no segments.
 func WriteTypedSegmented(w io.Writer, rows *Rows, segRows int) error {
-	if segRows <= 0 {
-		segRows = DefaultSegmentRows
-	}
-	hdr := relHeader{Rel: 2, Rows: len(rows.Data), Schema: schemaToSerial(rows.Schema)}
-	var blocks []*bytes.Buffer
-	for lo := 0; lo < len(rows.Data); lo += segRows {
-		hi := lo + segRows
-		if hi > len(rows.Data) {
-			hi = len(rows.Data)
-		}
-		var buf bytes.Buffer
-		for _, r := range rows.Data[lo:hi] {
-			rl, err := MarshalRowJSON(r)
-			if err != nil {
-				return err
-			}
-			buf.Write(rl)
-			buf.WriteByte('\n')
-		}
-		hdr.Segments = append(hdr.Segments, segMeta{
-			Rows:  hi - lo,
-			Bytes: int64(buf.Len()),
-			CRC:   crc32.ChecksumIEEE(buf.Bytes()),
-		})
-		blocks = append(blocks, &buf)
-		mSegWrites.Inc()
-	}
-	hl, err := json.Marshal(hdr)
+	hl, blocks, err := encodeSegmented(rows.Schema, rows.Data, segRows)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	bw.Write(hl)
-	bw.WriteByte('\n')
-	for _, b := range blocks {
-		bw.Write(b.Bytes())
+	return writeSegmented(w, hl, blocks)
+}
+
+// WriteTypedSegmented writes the table in the v2 segment-file layout, rows
+// in storage order, exactly as WriteTypedSegmented writes t.Rows() — but
+// straight from table storage, with no row copied. The rows are encoded
+// under the read lock, which is released before w is written.
+func (t *Table) WriteTypedSegmented(w io.Writer, segRows int) error {
+	t.mu.RLock()
+	hl, blocks, err := encodeSegmented(t.schema, t.rows, segRows)
+	t.mu.RUnlock()
+	if err != nil {
+		return err
 	}
-	return bw.Flush()
+	return writeSegmented(w, hl, blocks)
+}
+
+// encodeSegmented encodes rows as v2 segment blocks, back to back in one
+// buffer, and returns the header line (newline included) that describes
+// them. Row lines are appended straight into that buffer, so the cost per
+// row is its bytes and nothing else.
+func encodeSegmented(schema *Schema, rows []Row, segRows int) (header, blocks []byte, err error) {
+	if segRows <= 0 {
+		segRows = DefaultSegmentRows
+	}
+	hdr := relHeader{Rel: 2, Rows: len(rows), Schema: schemaToSerial(schema)}
+	for lo := 0; lo < len(rows); lo += segRows {
+		hi := min(lo+segRows, len(rows))
+		start := len(blocks)
+		for _, r := range rows[lo:hi] {
+			if blocks, err = AppendRowJSON(blocks, r); err != nil {
+				return nil, nil, err
+			}
+			blocks = append(blocks, '\n')
+		}
+		if lo == 0 && hi < len(rows) {
+			// Size the buffer for the rest from the first segment's bytes
+			// per row, with an eighth to spare, so later segments seldom
+			// regrow it.
+			rest := len(blocks) * (len(rows) - hi) / hi
+			blocks = slices.Grow(blocks, rest+rest/8)
+		}
+		hdr.Segments = append(hdr.Segments, segMeta{
+			Rows:  hi - lo,
+			Bytes: int64(len(blocks) - start),
+			CRC:   crc32.ChecksumIEEE(blocks[start:]),
+		})
+		mSegWrites.Inc()
+	}
+	if header, err = json.Marshal(hdr); err != nil {
+		return nil, nil, err
+	}
+	return append(header, '\n'), blocks, nil
+}
+
+// writeSegmented writes an encoded v2 file: the header line, then the blocks.
+func writeSegmented(w io.Writer, header, blocks []byte) error {
+	if _, err := w.Write(header); err != nil {
+		return err
+	}
+	_, err := w.Write(blocks)
+	return err
 }
 
 // parseSegmentBlock decodes and validates one segment's bytes against its

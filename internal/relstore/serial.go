@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"strconv"
 )
 
@@ -77,33 +79,91 @@ func UnmarshalSchemaJSON(b []byte) (*Schema, error) {
 	return NewSchema(out...)
 }
 
-// MarshalRowJSON renders one row as one JSON line of kind-tagged values.
-func MarshalRowJSON(r Row) ([]byte, error) {
-	vals := make([]*serialValue, len(r))
+// AppendRowJSON appends one row, rendered as one JSON line of kind-tagged
+// values without the newline, to dst and returns the extended buffer. It is
+// the one row encoder: both .rel layouts and the warehouse dump write the
+// bytes it appends. The output is exactly what encoding/json gives for the
+// row as a []*serialValue — NULL is null, an int {"i":"<decimal>"}, a float
+// {"f":<number>}, a string {"s":<string>}, a bool {"b":true|false} — but it
+// allocates nothing unless a string needs escaping. A NaN or infinite float
+// is an error, as it is for encoding/json; on error dst is returned
+// unextended.
+func AppendRowJSON(dst []byte, r Row) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, '[')
 	for i, v := range r {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
 		switch v.Kind() {
 		case KindNull:
-			vals[i] = nil
+			dst = append(dst, "null"...)
 		case KindInt:
-			s := strconv.FormatInt(v.AsInt(), 10)
-			vals[i] = &serialValue{I: &s}
+			dst = append(dst, `{"i":"`...)
+			dst = strconv.AppendInt(dst, v.AsInt(), 10)
+			dst = append(dst, `"}`...)
 		case KindFloat:
-			f := v.AsFloat()
-			vals[i] = &serialValue{F: &f}
+			var err error
+			dst = append(dst, `{"f":`...)
+			if dst, err = appendJSONFloat(dst, v.AsFloat()); err != nil {
+				return dst[:start], err
+			}
+			dst = append(dst, '}')
 		case KindString:
-			s := v.AsString()
-			vals[i] = &serialValue{S: &s}
+			dst = append(dst, `{"s":`...)
+			dst = appendJSONString(dst, v.AsString())
+			dst = append(dst, '}')
 		case KindBool:
-			b := v.AsBool()
-			vals[i] = &serialValue{B: &b}
+			if v.AsBool() {
+				dst = append(dst, `{"b":true}`...)
+			} else {
+				dst = append(dst, `{"b":false}`...)
+			}
 		default:
-			return nil, fmt.Errorf("relstore: cannot serialize value of kind %v", v.Kind())
+			return dst[:start], fmt.Errorf("relstore: cannot serialize value of kind %v", v.Kind())
 		}
 	}
-	return json.Marshal(vals)
+	return append(dst, ']'), nil
 }
 
-// UnmarshalRowJSON parses a row line written by MarshalRowJSON.
+// appendJSONFloat appends f the way encoding/json renders a float64: the
+// shortest decimal that round-trips, in exponent form only below 1e-6 or
+// from 1e21 in magnitude, with the exponent's leading zero dropped (e-07
+// becomes e-7).
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// appendJSONString appends s as a JSON string. A string with no byte that
+// encoding/json would escape or check — control bytes, '"', '\\', the HTML
+// characters '<', '>' and '&', and every non-ASCII byte — is copied between
+// quotes; any other goes through json.Marshal, which stays the one authority
+// on escaping (HTML escapes, U+2028/U+2029, invalid UTF-8 as \ufffd).
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// UnmarshalRowJSON parses a row line written by AppendRowJSON.
 func UnmarshalRowJSON(b []byte) (Row, error) {
 	var vals []*serialValue
 	if err := json.Unmarshal(b, &vals); err != nil {
@@ -134,7 +194,8 @@ func UnmarshalRowJSON(b []byte) (Row, error) {
 }
 
 // WriteTyped writes a relation in the typed line format: the schema line,
-// then one row line per tuple.
+// then one row line per tuple. Every row line is encoded into one reused
+// buffer.
 func WriteTyped(w io.Writer, rows *Rows) error {
 	sl, err := MarshalSchemaJSON(rows.Schema)
 	if err != nil {
@@ -143,13 +204,13 @@ func WriteTyped(w io.Writer, rows *Rows) error {
 	bw := bufio.NewWriter(w)
 	bw.Write(sl)
 	bw.WriteByte('\n')
+	var line []byte
 	for _, r := range rows.Data {
-		rl, err := MarshalRowJSON(r)
-		if err != nil {
+		if line, err = AppendRowJSON(line[:0], r); err != nil {
 			return err
 		}
-		bw.Write(rl)
-		bw.WriteByte('\n')
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }

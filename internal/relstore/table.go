@@ -16,6 +16,12 @@ import (
 // the current position. Deleting rows therefore only edits the doomed rows'
 // own buckets and renumbers the pos array — an integer fix-up — instead of
 // rewriting every bucket of every index.
+//
+// Stored rows are immutable: once a Row is in rows, nothing writes into it.
+// Insert stores a clone of its argument, Update stores the row fn built on
+// a clone, and Delete, Order and Truncate only move or drop row references
+// within the table's own rows slice; Scan's callers must not mutate what
+// they see. Clone relies on this to share rows between tables.
 type Table struct {
 	name   string
 	schema *Schema
@@ -519,23 +525,23 @@ func (t *Table) Order(cols ...string) error {
 	return nil
 }
 
-// Clone returns an independent copy of the table under the same name. Each
-// row is cloned once; row IDs, positions and index buckets are carried over
-// as they are, with no re-validation and no re-hashing.
+// Clone returns an independent copy of the table under the same name. The
+// copy gets its own rows slice holding the same Row values — stored rows
+// are immutable (see Table), so sharing them is safe, and a later Insert,
+// Update, Delete, Order or Truncate on either table never shows in the
+// other. Row IDs, positions and index buckets are carried over as they
+// are, with no re-validation and no re-hashing.
 func (t *Table) Clone() *Table {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	c := &Table{
 		name:    t.name,
 		schema:  t.schema,
-		rows:    make([]Row, len(t.rows)),
+		rows:    slices.Clone(t.rows),
 		ids:     slices.Clone(t.ids),
 		pos:     slices.Clone(t.pos),
 		freeIDs: slices.Clone(t.freeIDs),
 		indexes: make(map[string]*hashIndex, len(t.indexes)),
-	}
-	for i, r := range t.rows {
-		c.rows[i] = r.Clone()
 	}
 	for col, idx := range t.indexes {
 		buckets := make(map[string][]int, len(idx.buckets))

@@ -190,6 +190,72 @@ func TestRefreshAutoPolicy(t *testing.T) {
 	}
 }
 
+// TestRefreshSpansNestUnderHTTPRequest: a delta refresh forced over HTTP
+// runs under the request's span, with etl's refresh-delta span under it;
+// the initial refresh from AddStudy and a background tick stay roots.
+func TestRefreshSpansNestUnderHTTPRequest(t *testing.T) {
+	spec := journaledSpec(t)
+	o := obs.NewObserver()
+	srv := NewServer(Config{Observer: o})
+	ctx := context.Background()
+	if err := srv.AddStudy(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	submitSurgical(t, spec.Contributors[0], 100)
+	if code, body := post(t, ts.URL+"/studies/exsmoker/refresh?mode=delta"); code != http.StatusOK {
+		t.Fatalf("delta refresh = %d %v", code, body)
+	}
+	st, _ := srv.study("exsmoker")
+	submitSurgical(t, spec.Contributors[0], 101)
+	srv.refreshAuto(ctx, st, "background")
+
+	spans := o.Tracer.Spans()
+	byID := map[int64]*obs.Span{}
+	for _, s := range spans {
+		byID[s.ID()] = s
+	}
+	parent := func(s *obs.Span) string {
+		if p := byID[s.ParentID()]; p != nil {
+			return p.Name()
+		}
+		return ""
+	}
+	wantParent := map[string]string{
+		"serve.refresh exsmoker initial":          "",
+		"serve.refresh-delta exsmoker forced":     "http POST /studies/{name}/refresh",
+		"serve.refresh-delta exsmoker background": "",
+	}
+	seen := map[string]bool{}
+	for _, s := range spans {
+		switch s.Name() {
+		case "serve.refresh exsmoker", "serve.refresh-delta exsmoker":
+			kind, _ := s.Attr("kind")
+			key := fmt.Sprintf("%s %v", s.Name(), kind)
+			want, ok := wantParent[key]
+			if !ok {
+				t.Errorf("unexpected refresh span %q", key)
+				continue
+			}
+			seen[key] = true
+			if got := parent(s); got != want {
+				t.Errorf("%s: parent = %q, want %q", key, got, want)
+			}
+		case "refresh-delta exsmoker":
+			if got := parent(s); got != "serve.refresh-delta exsmoker" {
+				t.Errorf("etl refresh-delta: parent = %q, want serve.refresh-delta exsmoker", got)
+			}
+		}
+	}
+	for key := range wantParent {
+		if !seen[key] {
+			t.Errorf("no %s span", key)
+		}
+	}
+}
+
 // TestDeltaExtractRaceUntouchedPartition is the serving-path race test for
 // incremental refresh: readers hammer a clinicB-pinned extract over HTTP
 // while a writer keeps mutating clinicA and delta-refreshing in flight.

@@ -68,9 +68,8 @@ func (gs *genStore) genDir(num int64) string {
 // save persists g (table first, MANIFEST last) and sets g.dir on success.
 func (gs *genStore) save(g *generation, refreshes int64) error {
 	dir := gs.genDir(g.num)
-	rows := g.table.Rows()
 	var buf bytes.Buffer
-	if err := relstore.WriteTypedSegmented(&buf, rows, gs.segRows); err != nil {
+	if err := g.table.WriteTypedSegmented(&buf, gs.segRows); err != nil {
 		return err
 	}
 	if err := etl.WriteFileAtomic(gs.fs, filepath.Join(dir, "table.rel"), buf.Bytes()); err != nil {
@@ -81,7 +80,7 @@ func (gs *genStore) save(g *generation, refreshes int64) error {
 		Gen:       g.num,
 		Table:     "table.rel",
 		TableSHA:  hex.EncodeToString(tableSum[:]),
-		Rows:      len(rows.Data),
+		Rows:      g.table.Len(),
 		Refreshes: refreshes,
 		PartGens:  g.partGens,
 		Stats:     g.stats,

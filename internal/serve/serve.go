@@ -212,9 +212,11 @@ func (s *Server) metrics() *obs.Registry {
 }
 
 // observe threads the server's observer into ctx so spans and metrics from
-// the etl layer land in the same place as serve's own.
+// the etl layer land in the same place as serve's own. A ctx that already
+// carries the observer comes back unchanged, keeping its current span: a
+// refresh forced over HTTP nests under the request's span.
 func (s *Server) observe(ctx context.Context) context.Context {
-	if s.cfg.Observer != nil {
+	if s.cfg.Observer != nil && obs.ObserverFrom(ctx) != s.cfg.Observer {
 		return obs.WithObserver(ctx, s.cfg.Observer)
 	}
 	return ctx
