@@ -222,9 +222,10 @@ func BenchmarkStudyCompile(b *testing.B) {
 }
 
 // BenchmarkStudyRun measures end-to-end workflow execution as the
-// per-contributor record count grows (F6 / A3 scaling).
+// per-contributor record count grows (F6 / A3 scaling); records=5000 is
+// the study-sized run a full refresh pays for.
 func BenchmarkStudyRun(b *testing.B) {
-	for _, n := range []int{50, 200, 800} {
+	for _, n := range []int{50, 200, 800, 5000} {
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			cs := benchContribs(b, n)
 			spec, err := baseline.ReferenceSpec(cs)

@@ -112,7 +112,8 @@ type TableRef struct {
 // String renders the reference as db.table.
 func (r TableRef) String() string { return r.DB + "." + r.Table }
 
-// read fetches the referenced table's rows.
+// read fetches the referenced table's stored rows in a fresh slice. The
+// rows are shared with the table and must not be written into.
 func (r TableRef) read(ctx *Context) (*relstore.Rows, error) {
 	t, err := ctx.DB(r.DB).Table(r.Table)
 	if err != nil {
@@ -121,7 +122,9 @@ func (r TableRef) read(ctx *Context) (*relstore.Rows, error) {
 	return t.Rows(), nil
 }
 
-// write materializes rows into the referenced table, creating it.
+// write materializes rows into the referenced table, creating it. The
+// table takes the rows over without copying them, so a step's output rows
+// move to the next step as they are.
 func (r TableRef) write(ctx *Context, rows *relstore.Rows) error {
 	db := ctx.DB(r.DB)
 	if db.Has(r.Table) {

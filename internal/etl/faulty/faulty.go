@@ -194,12 +194,14 @@ func (c *Chaos) poisonOutput(env *etl.Context) error {
 		return fmt.Errorf("faulty: poison %s: %w", ref, err)
 	}
 	poisoned := 0
-	for _, row := range rows.Data {
+	for i, row := range rows.Data {
 		if poisoned == c.PoisonRows {
 			break
 		}
 		if c.PoisonKeys == nil || slices.ContainsFunc(c.PoisonKeys, row[idx].Equal) {
-			row[idx] = relstore.Null()
+			// Stored rows are shared and immutable: poison a copy.
+			rows.Data[i] = row.Clone()
+			rows.Data[i][idx] = relstore.Null()
 			poisoned++
 		}
 	}

@@ -1,9 +1,11 @@
 package etl
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"guava/internal/obs"
 	"guava/internal/relstore"
@@ -185,7 +187,11 @@ func (c *Compiled) Refresh(ctx context.Context, warehouse *relstore.DB, opts Ref
 			if err := callHook(opts.Hooks.BeforeApply, ct.Name); err != nil {
 				return nil, err
 			}
+			_, pspan := obs.StartSpan(ctx, "patch "+ct.Name)
 			stats, err := patch(table, ct.Name, fresh[ct.Name], keys)
+			pspan.SetAttr(obs.Int("added", int64(stats.Added)), obs.Int("updated", int64(stats.Updated)),
+				obs.Int("unchanged", int64(stats.Unchanged)), obs.Int("removed", int64(stats.Removed)))
+			pspan.EndErr(err)
 			if err != nil {
 				return nil, err
 			}
@@ -278,14 +284,17 @@ func callHook(hook func(contributor string) error, contributor string) error {
 // patch applies one contributor's freshly derived rows to the warehouse
 // table: the one patch full and delta refreshes share. keys scopes it — nil
 // covers the contributor's whole history, otherwise only those entity
-// keys' groups. Both sides are grouped by entity key and the groups
-// compared as multisets, so an entity owning several rows (a has-a child
-// join) re-patches to a no-op whatever order the union produced them in:
-// absent groups insert, identical groups stay, changed groups are replaced,
-// and existing groups the run no longer produced (the entity was
-// deprecated, or fell out of the selection) are removed, keeping the
-// warehouse convergent with a from-scratch build. Every removal lands in one
-// Delete and every new row in one InsertAll.
+// keys' groups. The contributor's existing rows and its fresh rows are
+// sorted by one total row order, entity key first (rowOrder), and merged
+// in one pass: groups end where the entity key changes, and two groups are
+// the same when their rows are the same cell for cell. An entity owning
+// several rows (a has-a child join) therefore re-patches to a no-op
+// whatever order the union produced them in: absent groups insert,
+// identical groups stay, changed groups are replaced, and existing groups
+// the run no longer produced (the entity was deprecated, or fell out of the
+// selection) are removed, keeping the warehouse convergent with a
+// from-scratch build. Every removal lands in one Delete and every new row
+// in one InsertAll, which takes the rows over. fresh is reordered in place.
 func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys []relstore.Value) (RefreshStats, error) {
 	contrib := relstore.Str(contributor)
 	var scope relstore.Pred = relstore.Eq(ContributorColumn, contrib)
@@ -296,42 +305,48 @@ func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys
 	if err != nil {
 		return RefreshStats{}, err
 	}
-	old := map[string][]relstore.Row{}
-	for _, r := range existing.Data {
-		old[r[0].Key()] = append(old[r[0].Key()], r)
-	}
-	var order []string
-	groups := map[string][]relstore.Row{}
-	for _, r := range fresh {
-		k := r[0].Key()
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
-	}
+	// Both sides arrive almost sorted — a published generation is in
+	// canonical order, and the run's output is sorted — so the sorts are
+	// close to linear.
+	old := existing.Data
+	slices.SortFunc(old, rowOrder)
+	slices.SortFunc(fresh, rowOrder)
 
 	stats := RefreshStats{Total: len(fresh)}
 	var doomed []relstore.Value
 	var toInsert []relstore.Row
-	for _, k := range order {
-		group := groups[k]
-		prev, ok := old[k]
-		delete(old, k)
+	for i, j := 0, 0; i < len(old) || j < len(fresh); {
+		var c int
 		switch {
-		case !ok:
-			toInsert = append(toInsert, group...)
-			stats.Added += len(group)
-		case sameRowSet(prev, group):
-			stats.Unchanged += len(group)
+		case i == len(old):
+			c = 1
+		case j == len(fresh):
+			c = -1
 		default:
-			doomed = append(doomed, group[0][0])
-			toInsert = append(toInsert, group...)
-			stats.Updated += len(group)
+			c = cellOrder(old[i][0], fresh[j][0])
 		}
-	}
-	for _, prev := range old {
-		doomed = append(doomed, prev[0][0])
-		stats.Removed += len(prev)
+		switch {
+		case c < 0:
+			n := groupLen(old[i:])
+			doomed = append(doomed, old[i][0])
+			stats.Removed += n
+			i += n
+		case c > 0:
+			n := groupLen(fresh[j:])
+			toInsert = append(toInsert, fresh[j:j+n]...)
+			stats.Added += n
+			j += n
+		default:
+			prev, group := old[i:i+groupLen(old[i:])], fresh[j:j+groupLen(fresh[j:])]
+			if slices.EqualFunc(prev, group, func(a, b relstore.Row) bool { return rowOrder(a, b) == 0 }) {
+				stats.Unchanged += len(group)
+			} else {
+				doomed = append(doomed, old[i][0])
+				toInsert = append(toInsert, group...)
+				stats.Updated += len(group)
+			}
+			i, j = i+len(prev), j+len(group)
+		}
 	}
 	if len(doomed) > 0 {
 		if _, err := table.Delete(relstore.And(relstore.In(relstore.Col(EntityKeyColumn), doomed...),
@@ -347,19 +362,56 @@ func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys
 	return stats, nil
 }
 
-// sameRowSet compares two row groups as multisets, order-independently.
-func sameRowSet(a, b []relstore.Row) bool {
-	if len(a) != len(b) {
-		return false
+// groupLen is the length of the entity group rows opens with: the run of
+// rows sharing the first row's entity key, in rowOrder-sorted rows.
+func groupLen(rows []relstore.Row) int {
+	n := 1
+	for n < len(rows) && cellOrder(rows[n][0], rows[0][0]) == 0 {
+		n++
 	}
-	ka := relstore.ParallelRowKeys(a, relstore.Row.Key)
-	kb := relstore.ParallelRowKeys(b, relstore.Row.Key)
-	sort.Strings(ka)
-	sort.Strings(kb)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
+	return n
+}
+
+// rowOrder orders rows cell by cell under cellOrder, so it calls two rows
+// equal exactly when AppendRowJSON renders them to the same bytes.
+func rowOrder(a, b relstore.Row) int {
+	for k := range min(len(a), len(b)) {
+		if c := cellOrder(a[k], b[k]); c != 0 {
+			return c
 		}
 	}
-	return true
+	return cmp.Compare(len(a), len(b))
 }
+
+// cellOrder is a total order on cells that refines Value.Compare: it keeps
+// every order Compare decides, and breaks Compare's ties by kind and then
+// by a float's bit pattern, so it calls two cells equal exactly when they
+// have the same kind and the same int64, float bits, string or bool — when
+// AppendRowJSON renders them to the same bytes. A NaN, which Compare calls
+// equal to every number, sorts after the other numbers.
+func cellOrder(a, b relstore.Value) int {
+	if a.IsNumeric() && b.IsNumeric() {
+		if an, bn := isNaN(a), isNaN(b); an || bn {
+			switch {
+			case an && bn:
+				return cmp.Compare(math.Float64bits(a.AsFloat()), math.Float64bits(b.AsFloat()))
+			case an:
+				return 1
+			default:
+				return -1
+			}
+		}
+	}
+	if c := a.Compare(b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Kind(), b.Kind()); c != 0 {
+		return c
+	}
+	if a.Kind() == relstore.KindFloat {
+		return cmp.Compare(math.Float64bits(a.AsFloat()), math.Float64bits(b.AsFloat()))
+	}
+	return 0
+}
+
+func isNaN(v relstore.Value) bool { return v.Kind() == relstore.KindFloat && math.IsNaN(v.AsFloat()) }

@@ -115,22 +115,6 @@ func (l *Lookup) codeFor(db *relstore.DB, outer FormInfo, col, label string) (in
 	return code, nil
 }
 
-// labelFor resolves a code back to its label.
-func (l *Lookup) labelFor(db *relstore.DB, outer FormInfo, col string, code int64) (string, error) {
-	t, err := db.Table(lookupTable(outer, col))
-	if err != nil {
-		return "", err
-	}
-	rows, err := t.Lookup("Code", relstore.Int(code))
-	if err != nil {
-		return "", err
-	}
-	if len(rows) == 0 {
-		return "", fmt.Errorf("lookup: dangling code %d in %s", code, lookupTable(outer, col))
-	}
-	return rows[0][1].AsString(), nil
-}
-
 // Encode implements Transform.
 func (l *Lookup) Encode(db *relstore.DB, outer, _ FormInfo, row relstore.Row) (relstore.Row, error) {
 	coded, err := l.applies(outer)
@@ -153,34 +137,65 @@ func (l *Lookup) Encode(db *relstore.DB, outer, _ FormInfo, row relstore.Row) (r
 	return out, nil
 }
 
-// Decode implements Transform.
+// Decode implements Transform: each record becomes one row in the inner
+// schema's column order, its coded cells resolved through a code→label map
+// of their dimension table, read once per call.
 func (l *Lookup) Decode(db *relstore.DB, outer, inner FormInfo, rows *relstore.Rows) (*relstore.Rows, error) {
 	coded, err := l.applies(outer)
 	if err != nil {
 		return nil, err
 	}
-	ordered, err := relstore.Project(rows, inner.Schema.Names()...)
-	if err != nil {
-		return nil, err
+	src := make([]int, inner.Schema.Arity())
+	isCoded := make([]bool, len(src))
+	for i, c := range inner.Schema.Columns {
+		if _, err := rows.Schema.Col(c.Name); err != nil {
+			return nil, err
+		}
+		src[i] = rows.Schema.Index(c.Name)
+		isCoded[i] = coded[outer.Schema.Columns[i].Name]
 	}
-	data := make([]relstore.Row, len(ordered.Data))
-	for r, row := range ordered.Data {
-		nr := make(relstore.Row, len(row))
-		for i, v := range row {
-			name := outer.Schema.Columns[i].Name
-			if !coded[name] || v.IsNull() {
+	labels := make([]map[int64]string, len(src)) // per coded column, read on first use
+	data := make([]relstore.Row, len(rows.Data))
+	for r, row := range rows.Data {
+		nr := make(relstore.Row, len(src))
+		for i, j := range src {
+			v := row[j]
+			if !isCoded[i] || v.IsNull() {
 				nr[i] = v
 				continue
 			}
-			label, err := l.labelFor(db, outer, name, v.AsInt())
-			if err != nil {
-				return nil, err
+			name := outer.Schema.Columns[i].Name
+			if labels[i] == nil {
+				if labels[i], err = l.labels(db, outer, name); err != nil {
+					return nil, err
+				}
+			}
+			label, ok := labels[i][v.AsInt()]
+			if !ok {
+				return nil, fmt.Errorf("lookup: dangling code %d in %s", v.AsInt(), lookupTable(outer, name))
 			}
 			nr[i] = relstore.Str(label)
 		}
 		data[r] = nr
 	}
 	return &relstore.Rows{Schema: outer.Schema, Data: data}, nil
+}
+
+// labels reads one dimension table into a code→label map; a code stored
+// twice keeps its first label in storage order.
+func (l *Lookup) labels(db *relstore.DB, outer FormInfo, col string) (map[int64]string, error) {
+	t, err := db.Table(lookupTable(outer, col))
+	if err != nil {
+		return nil, err
+	}
+	m := make(map[int64]string, t.Len())
+	t.Scan(func(r relstore.Row) bool {
+		if _, dup := m[r[0].AsInt()]; !dup {
+			m[r[0].AsInt()] = r[1].AsString()
+		}
+		return true
+	})
+	return m, nil
 }
 
 // AdaptUpdate implements Transform.

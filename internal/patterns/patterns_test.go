@@ -812,6 +812,8 @@ func TestLayoutMiscCoverage(t *testing.T) {
 	}
 	if _, err := lstack.Read(ldb, form); err == nil {
 		t.Error("dangling lookup code must fail the read")
+	} else if !strings.Contains(err.Error(), "lookup: dangling code 1 in Procedure_Smoking_lookup") {
+		t.Errorf("dangling lookup code error = %v", err)
 	}
 }
 

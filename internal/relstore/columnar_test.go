@@ -149,8 +149,9 @@ func randPred(r *rand.Rand, depth int) Pred {
 	case 5:
 		return Eq("B", Bool(r.Intn(2) == 0))
 	default:
-		// Huge-int equality: must compare exactly, not through float64.
-		return Eq("N", Int((int64(1)<<60)+1))
+		// Huge-int literals: equality and order must compare exactly, not
+		// through float64, against the 2^60+{0,1,2} cells randRelation plants.
+		return Cmp(ops[r.Intn(len(ops))], Col("N"), Lit(Int((int64(1)<<60)+int64(r.Intn(3)))))
 	}
 }
 

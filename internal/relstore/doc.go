@@ -10,6 +10,24 @@
 // including the pivot/un-pivot pair required by the Generic (EAV) layout of
 // Table 1.
 //
+// # Row ownership
+//
+// A stored row is immutable: once a [Row] is in a [Table], nothing writes
+// into it, and the API is built on that rule. Reads hand out the stored
+// rows themselves — [Table.Rows], [Table.Select], [Table.SelectPage] and
+// [Table.Lookup] return them in a fresh slice that the caller may reorder
+// or truncate, but a caller must never write into a row it got from a
+// table; one that needs a changed row clones it first. [Table.InsertAll]
+// takes ownership of its rows instead of copying them, so one row may sit
+// in several tables at once, and the caller must not write into it
+// afterwards. [Table.Insert] still clones its argument, and [Table.Update]
+// builds each replacement on a clone. A full ETL run thus moves rows from
+// pattern read to warehouse without copying one, and [Table.Clone] shares
+// every row with its source. Built with the rowcheck tag, every table
+// hashes each row it stores and panics, naming the table, when it finds a
+// row changed under it (rowcheck.go); the default build compiles that
+// check to nothing.
+//
 // # Columnar execution
 //
 // Operators execute on a columnar core. A relation is still presented to

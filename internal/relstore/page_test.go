@@ -182,6 +182,32 @@ func TestOrderMatchesSortBy(t *testing.T) {
 	}
 }
 
+// TestOrderHugeInts: integers past 2^53, which share a float64, still sort
+// exactly under both SortBy and Order.
+func TestOrderHugeInts(t *testing.T) {
+	const big = int64(1) << 60
+	in := &Rows{Schema: propSchema()}
+	for i, n := range []int64{big + 1, big, big + 2, big} {
+		in.Data = append(in.Data, Row{Int(int64(i)), Null(), Int(n), Null(), Null()})
+	}
+	want := []int64{big, big, big + 1, big + 2}
+	sorted, err := SortBy(in, "N")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := pageTable(t, in)
+	if err := tb.Order("N"); err != nil {
+		t.Fatal(err)
+	}
+	for name, rows := range map[string]*Rows{"SortBy": sorted, "Order": tb.Rows()} {
+		for i, row := range rows.Data {
+			if got := row[2].AsInt(); got != want[i] {
+				t.Fatalf("%s: row %d has N=%d, want %d", name, i, got, want[i])
+			}
+		}
+	}
+}
+
 // TestOrderKeepsIndexProbesExact reorders, deletes and appends, then checks
 // every index-probe entry point against a filter over a full scan: Lookup,
 // indexed equality and IN Selects, and indexed Delete — the last on a Clone,

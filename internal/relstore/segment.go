@@ -84,6 +84,7 @@ func WriteTypedSegmented(w io.Writer, rows *Rows, segRows int) error {
 // under the read lock, which is released before w is written.
 func (t *Table) WriteTypedSegmented(w io.Writer, segRows int) error {
 	t.mu.RLock()
+	t.check.verifyAll(t.name, t.rows)
 	hl, blocks, err := encodeSegmented(t.schema, t.rows, segRows)
 	t.mu.RUnlock()
 	if err != nil {

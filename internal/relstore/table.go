@@ -17,16 +17,25 @@ import (
 // own buckets and renumbers the pos array — an integer fix-up — instead of
 // rewriting every bucket of every index.
 //
-// Stored rows are immutable: once a Row is in rows, nothing writes into it.
-// Insert stores a clone of its argument, Update stores the row fn built on
-// a clone, and Delete, Order and Truncate only move or drop row references
-// within the table's own rows slice; Scan's callers must not mutate what
-// they see. Clone relies on this to share rows between tables.
+// Stored rows are immutable, and that is the API's ownership rule: once a
+// Row is in a table, nothing writes into it. Reads hand out the stored rows
+// themselves — Rows, Select, SelectPage and Lookup return them in a fresh
+// slice the caller may reorder or truncate, and Scan passes them to its
+// callback — so a caller must never write into a row it got from a table;
+// one that needs a changed row clones it first. InsertAll takes ownership
+// of its rows instead of copying them, so one row may sit in several
+// tables at once (a passthrough ETL step's input and output, or a
+// generation and its successor). Insert stores a clone of its argument,
+// Update stores the row fn built on a clone, and Delete, Order and
+// Truncate only move or drop row references within the table's own rows
+// slice. Clone relies on the rule to share rows between tables. Under the
+// rowcheck build tag every table verifies it (see rowCheck).
 type Table struct {
 	name   string
 	schema *Schema
 
 	mu      sync.RWMutex
+	check   rowCheck // stored-row guard; empty outside the rowcheck build
 	rows    []Row
 	ids     []int                 // position -> stable row ID, parallel to rows
 	pos     []int                 // row ID -> current position, -1 once deleted
@@ -65,8 +74,38 @@ func (t *Table) Insert(r Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.appendLocked(r.Clone())
+	return nil
+}
+
+// InsertAll validates every row, then appends them all under one lock; an
+// invalid row fails the call before any row is stored. It takes ownership
+// of the rows rather than cloning them: they may also sit in other tables,
+// and the caller must not write into them afterwards (see Table). The
+// slice itself stays the caller's.
+func (t *Table) InsertAll(rows []Row) error {
+	for _, r := range rows {
+		if err := t.schema.Validate(r); err != nil {
+			return fmt.Errorf("insert into %s: %w", t.name, err)
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rows = slices.Grow(t.rows, len(rows))
+	t.ids = slices.Grow(t.ids, len(rows))
+	t.pos = slices.Grow(t.pos, max(len(rows)-len(t.freeIDs), 0))
+	for _, r := range rows {
+		t.appendLocked(r)
+	}
+	return nil
+}
+
+// appendLocked stores a validated row the table now owns at the end of
+// storage, under a free or fresh row ID, and files it in every index.
+// Callers must hold t.mu for writing.
+func (t *Table) appendLocked(r Row) {
 	p := len(t.rows)
-	t.rows = append(t.rows, r.Clone())
+	t.rows = append(t.rows, r)
 	var id int
 	if n := len(t.freeIDs); n > 0 {
 		id = t.freeIDs[n-1]
@@ -81,17 +120,7 @@ func (t *Table) Insert(r Row) error {
 		k := r[idx.col].Key()
 		idx.buckets[k] = append(idx.buckets[k], id)
 	}
-	return nil
-}
-
-// InsertAll inserts each row, stopping at the first error.
-func (t *Table) InsertAll(rows []Row) error {
-	for _, r := range rows {
-		if err := t.Insert(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	t.check.record(t.name, r)
 }
 
 // InsertMap inserts a row given as a column-name→value map; absent nullable
@@ -123,10 +152,13 @@ func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 		if !ok {
 			continue
 		}
+		t.check.verify(t.name, r)
 		nr := fn(r.Clone())
 		if err := t.schema.Validate(nr); err != nil {
 			return n, fmt.Errorf("update %s: %w", t.name, err)
 		}
+		t.check.forget(r)
+		t.check.record(t.name, nr)
 		t.rows[i] = nr
 		n++
 	}
@@ -179,6 +211,8 @@ func (t *Table) Delete(pred Pred) (int, error) {
 	for _, p := range doomed {
 		id := t.ids[p]
 		r := t.rows[p]
+		t.check.verify(t.name, r)
+		t.check.forget(r)
 		for _, idx := range t.indexes {
 			k := r[idx.col].Key()
 			b := idx.buckets[k]
@@ -230,6 +264,7 @@ func (t *Table) Truncate() {
 	t.ids = nil
 	t.pos = nil
 	t.freeIDs = nil
+	t.check = rowCheck{}
 	t.rebuildIndexesLocked()
 }
 
@@ -286,8 +321,9 @@ func (t *Table) bucketPositionsLocked(ids []int) []int {
 	return ps
 }
 
-// Lookup returns clones of the rows whose indexed column equals v. It falls
-// back to a scan when no index exists on the column.
+// Lookup returns the stored rows whose indexed column equals v, in a fresh
+// slice; the rows must not be written into (see Table). It falls back to a
+// scan when no index exists on the column.
 func (t *Table) Lookup(col string, v Value) ([]Row, error) {
 	ci := t.schema.Index(col)
 	if ci < 0 {
@@ -295,23 +331,24 @@ func (t *Table) Lookup(col string, v Value) ([]Row, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	var out []Row
 	if idx, ok := t.indexes[col]; ok {
 		positions := t.bucketPositionsLocked(idx.buckets[v.Key()])
-		out := make([]Row, 0, len(positions))
+		out = make([]Row, 0, len(positions))
 		for _, p := range positions {
 			// Re-check: colliding keys (integers past 2^53) share a bucket.
 			if r := t.rows[p]; r[ci].Equal(v) {
-				out = append(out, r.Clone())
+				out = append(out, r)
 			}
 		}
-		return out, nil
-	}
-	var out []Row
-	for _, r := range t.rows {
-		if r[ci].Equal(v) {
-			out = append(out, r.Clone())
+	} else {
+		for _, r := range t.rows {
+			if r[ci].Equal(v) {
+				out = append(out, r)
+			}
 		}
 	}
+	t.check.verifyAll(t.name, out)
 	return out, nil
 }
 
@@ -321,29 +358,30 @@ func (t *Table) Scan(fn func(Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, r := range t.rows {
+		t.check.verify(t.name, r)
 		if !fn(r) {
 			return
 		}
 	}
 }
 
-// Select scans the table and returns clones of the rows matching pred (nil
-// keeps everything), in storage order — unlike Rows()+Select, non-matching
-// rows are never cloned, which is what layout-level predicate pushdown buys.
-// It is SelectPage with an unbounded window.
+// Select returns the stored rows matching pred (nil keeps everything) in
+// storage order, in a fresh slice; the rows must not be written into (see
+// Table). It is SelectPage with an unbounded window.
 func (t *Table) Select(pred Pred) (*Rows, error) {
 	page, _, err := t.SelectPage(pred, 0, math.MaxInt)
 	return page, err
 }
 
 // SelectPage counts every row matching pred (nil keeps everything) and
-// returns clones of only the matches at [offset, offset+limit) in storage
-// order, so a page costs one predicate pass plus the page's own clones
-// however many rows match. Candidates come from a hash-index probe when the
-// predicate has an indexable equality or IN conjunct, and from the columnar
-// scan kernel otherwise (chunk-parallel mask, then an ordered gather) —
-// serve's extract filters arrive here as Preds, not post-hoc row filters.
-// Negative offsets and limits count as zero.
+// returns only the stored rows at [offset, offset+limit) of the matches in
+// storage order, in a fresh slice, so a page costs one predicate pass plus
+// its own length however many rows match. The rows must not be written into
+// (see Table). Candidates come from a hash-index probe when the predicate
+// has an indexable equality or IN conjunct, and from the columnar scan
+// kernel otherwise (chunk-parallel mask, then an ordered gather) — serve's
+// extract filters arrive here as Preds, not post-hoc row filters. Negative
+// offsets and limits count as zero.
 func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int, err error) {
 	offset, limit = max(offset, 0), max(limit, 0)
 	t.mu.RLock()
@@ -351,7 +389,7 @@ func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int,
 	var out []Row
 	take := func(p int) {
 		if total >= offset && total-offset < limit {
-			out = append(out, t.rows[p].Clone())
+			out = append(out, t.rows[p])
 		}
 		total++
 	}
@@ -359,10 +397,7 @@ func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int,
 		total = len(t.rows)
 		lo := min(offset, total)
 		hi := lo + min(limit, total-lo)
-		out = make([]Row, 0, hi-lo)
-		for _, r := range t.rows[lo:hi] {
-			out = append(out, r.Clone())
-		}
+		out = slices.Clone(t.rows[lo:hi])
 	} else if positions, ok := t.probeLocked(pred); ok {
 		out = make([]Row, 0, min(limit, len(positions)))
 		for _, p := range positions {
@@ -385,6 +420,7 @@ func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int,
 			}
 		}
 	}
+	t.check.verifyAll(t.name, out)
 	return &Rows{Schema: t.schema, Data: out}, total, nil
 }
 
@@ -484,6 +520,7 @@ func (t *Table) Order(cols ...string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.check.verifyAll(t.name, t.rows)
 	cmp := func(a, b int) int {
 		for _, k := range idx {
 			if c := t.rows[a][k].Compare(t.rows[b][k]); c != 0 {
@@ -534,6 +571,7 @@ func (t *Table) Order(cols ...string) error {
 func (t *Table) Clone() *Table {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	t.check.verifyAll(t.name, t.rows)
 	c := &Table{
 		name:    t.name,
 		schema:  t.schema,
@@ -542,6 +580,7 @@ func (t *Table) Clone() *Table {
 		pos:     slices.Clone(t.pos),
 		freeIDs: slices.Clone(t.freeIDs),
 		indexes: make(map[string]*hashIndex, len(t.indexes)),
+		check:   t.check.clone(),
 	}
 	for col, idx := range t.indexes {
 		buckets := make(map[string][]int, len(idx.buckets))
@@ -571,6 +610,7 @@ func (t *Table) ScanSince(col string, after Value, fn func(Row) bool) error {
 		return t.rows[i][ci].Compare(after) > 0
 	})
 	for _, r := range t.rows[lo:] {
+		t.check.verify(t.name, r)
 		if !fn(r) {
 			return nil
 		}
@@ -578,15 +618,11 @@ func (t *Table) ScanSince(col string, after Value, fn func(Row) bool) error {
 	return nil
 }
 
-// Rows returns a snapshot Rows result of the whole table.
+// Rows returns every stored row in storage order: Select(nil), which cannot
+// fail. The slice is fresh; the rows must not be written into (see Table).
 func (t *Table) Rows() *Rows {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
-	return &Rows{Schema: t.schema, Data: out}
+	rows, _ := t.Select(nil)
+	return rows
 }
 
 // DB is a named collection of tables; it models one database instance
@@ -669,9 +705,11 @@ func (d *DB) Has(name string) bool {
 func (d *DB) Drop(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.tables[name]; !ok {
+	t, ok := d.tables[name]
+	if !ok {
 		return fmt.Errorf("relstore: no table %q in %s", name, d.name)
 	}
+	verifyTable(t)
 	delete(d.tables, name)
 	return nil
 }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -144,9 +145,10 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Compare orders two values. NULL sorts before everything; mixed numeric
-// kinds compare numerically; otherwise kinds order by their Kind constant and
-// values of equal kind order naturally. The result is -1, 0, or +1.
+// Compare orders two values. NULL sorts before everything; two integers
+// compare exactly as int64s, mixed numeric kinds compare numerically through
+// float64; otherwise kinds order by their Kind constant and values of equal
+// kind order naturally. The result is -1, 0, or +1.
 func (v Value) Compare(o Value) int {
 	if v.kind == KindNull || o.kind == KindNull {
 		switch {
@@ -157,6 +159,9 @@ func (v Value) Compare(o Value) int {
 		default:
 			return 1
 		}
+	}
+	if v.kind == KindInt && o.kind == KindInt {
+		return cmp.Compare(v.i, o.i)
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		a, b := v.AsFloat(), o.AsFloat()

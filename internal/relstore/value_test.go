@@ -80,6 +80,9 @@ func TestValueCompare(t *testing.T) {
 		{Null(), Int(-100), -1},
 		{Int(-100), Null(), 1},
 		{Null(), Null(), 0},
+		// Integers past 2^53 share a float64 but still order exactly.
+		{Int(1 << 60), Int(1<<60 + 1), -1},
+		{Int(1<<60 + 1), Int(1 << 60), 1},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {

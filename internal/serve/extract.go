@@ -23,7 +23,8 @@ import (
 // column's declared kind; "limit" and "offset" page through the canonical
 // order — every column ascending, in schema order. Each generation is
 // published already stored in that order, so a cache miss counts the
-// matches and clones only the page's rows; nothing is sorted per request.
+// matches and renders only the page's stored rows; nothing is sorted or
+// copied per request.
 const (
 	defaultLimit = 100
 	maxLimit     = 10000

@@ -761,8 +761,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Generations are published in canonical order, so the page is a
-	// window over the storage-order matches: count them all, clone only
-	// the page, never sort.
+	// window over the storage-order matches: count them all, hand out only
+	// the page's stored rows, never sort.
 	rows, total, err := snap.table.SelectPage(query.pred, query.offset, query.limit)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "extract failed: %v", err)
