@@ -38,14 +38,6 @@
 // may slow down across the scales; -min-delta-speedup gates its advantage
 // over the full recompute at the largest scale.
 //
-// R7 measures the columnar storage layer: the same chunked select and hash
-// join with the worker pool pinned to 1 vs 4 workers (with byte-identical
-// output checks), the sharded-table and sharded-join paths against their
-// single-shard equivalents, and a segment-backed scan under a byte budget a
-// tenth of the file size — the warehouse-exceeds-RAM scenario. -min-par-speedup
-// gates the scan/join parallel speedup; it defaults to 0 (report only)
-// because the number is meaningless without multiple cores.
-//
 // R9 measures the robustness of the serving path as a whole: an in-process
 // studyd over a crash-consistent warehouse whose filesystem executes a
 // storage-fault schedule (-fs-faults), under open-loop Poisson load at
@@ -66,11 +58,11 @@
 //
 // Usage:
 //
-//	coribench [-exp all|T1|H2|A1|A2|A3|R1|R2|R3|R4|R5|R6|R7|R9|R10] [-seed 42] [-n 200]
+//	coribench [-exp all|T1|H2|A1|A2|A3|R1|R2|R3|R4|R5|R6|R9|R10] [-seed 42] [-n 200]
 //	          [-faults 0.33] [-retries 2] [-observe]
 //	          [-max-overhead 0] [-clients 8] [-requests 400]
 //	          [-min-speedup 0] [-delta-batch 24] [-max-flat 0]
-//	          [-min-delta-speedup 0] [-min-par-speedup 0]
+//	          [-min-delta-speedup 0]
 //	          [-rps 300] [-load-duration 3s] [-fs-faults torn_rename:MANIFEST@2]
 //	          [-min-rps 0] [-max-p99 0] [-min-extract-rps 0]
 //	          [-cpuprofile f] [-memprofile f] [-trace f]
@@ -99,7 +91,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, T1, H2, A1, A2, A3, R1, R2, R3, R4, R5, R6, R7, R9, R10")
+	exp := flag.String("exp", "all", "experiment to run: all, T1, H2, A1, A2, A3, R1, R2, R3, R4, R5, R6, R9, R10")
 	seed := flag.Int64("seed", 42, "workload seed")
 	n := flag.Int("n", 200, "records per contributor")
 	faults := flag.Float64("faults", 0.33, "fraction of contributor chains wrapped in fault injectors (R1)")
@@ -112,7 +104,6 @@ func main() {
 	deltaBatch := flag.Int("delta-batch", 24, "contributor mutations per refresh tick (R6)")
 	maxFlat := flag.Float64("max-flat", 0, "fail if R6 delta tick latency grows by more than this factor across the warehouse scales (0 = report only)")
 	minDeltaSpeedup := flag.Float64("min-delta-speedup", 0, "fail if R6 delta-vs-full speedup at the largest scale falls below this factor (0 = report only)")
-	minParSpeedup := flag.Float64("min-par-speedup", 0, "fail if R7 parallel scan or join speedup falls below this factor (0 = report only; needs multiple cores to mean anything)")
 	rps := flag.Float64("rps", 300, "offered open-loop arrival rate (R9)")
 	loadDur := flag.Duration("load-duration", 3*time.Second, "how long the open-loop driver offers load (R9)")
 	fsFaults := flag.String("fs-faults", "torn_rename:MANIFEST@2,short_write:table.rel@4,drop_sync@6", "storage fault schedule for the warehouse filesystem, kind[:pathsub][@after][~delay],... (R9)")
@@ -167,9 +158,6 @@ func main() {
 	}
 	if run("R6") {
 		expR6(*seed, *deltaBatch, *maxFlat, *minDeltaSpeedup)
-	}
-	if run("R7") {
-		expR7(*seed, *n, *minParSpeedup)
 	}
 	if run("R9") {
 		expR9(*seed, *n, *rps, *loadDur, *fsFaults, *minRPS, *maxP99)

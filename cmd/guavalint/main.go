@@ -1,7 +1,8 @@
 // Command guavalint runs guava's repo-invariant linter (internal/lint) over
 // a source tree: determinism of the relational/ETL core, metric names
-// documented in OBSERVABILITY.md, mutex-guarded field discipline, and
-// context-first Run methods. Zero dependencies — go/ast and go/parser only.
+// documented in OBSERVABILITY.md, mutex-guarded field discipline,
+// context-first Run methods, and no dead exports under internal/. Zero
+// dependencies — go/ast and go/parser only.
 //
 // Usage:
 //

@@ -52,22 +52,15 @@
 // Segmented warehouse (see STORAGE.md): -segment-rows N persists each
 // warehouse table in the v2 segment-file layout, N rows per checksummed
 // segment, which loadWarehouse reads back transparently (ReadTyped sniffs
-// the version). -dump-warehouse TABLE streams a stored table to stdout in
-// canonical v1 form whatever its layout; over a v2 file the dump goes
-// through a lazily-loading SegmentSet capped at -segment-budget resident
-// bytes, so a relation larger than memory still dumps — and diffs cleanly
-// against an in-memory-mode warehouse:
+// the version). -dump-warehouse TABLE writes a stored table to stdout in
+// canonical v1 form whatever its layout, so a segmented warehouse diffs
+// cleanly against a flat one:
 //
 //	runstudy -refresh -warehouse-dir w1
 //	runstudy -refresh -warehouse-dir w2 -segment-rows 64
 //	runstudy -dump-warehouse Study_reference -warehouse-dir w1 > flat.txt
-//	runstudy -dump-warehouse Study_reference -warehouse-dir w2 \
-//	         -segment-budget 8192 > seg.txt
+//	runstudy -dump-warehouse Study_reference -warehouse-dir w2 > seg.txt
 //	diff flat.txt seg.txt
-//
-// Columnar execution: -relstore-parallel bounds the worker pool relstore's
-// chunked operators fan out across, and -relstore-batch sets the chunk
-// width (see DESIGN.md §6.12).
 //
 // Free-text contributor (see DESIGN.md §6.15): -with-text adds the Notes
 // contributor — the same ground truth dictated into progress-note documents
@@ -94,8 +87,7 @@
 //	         [-continue] [-fail contributor,...] [-report]
 //	         [-refresh] [-refresh-delta] [-warehouse-dir dir]
 //	         [-cursor-file file] [-mutate-seed 1] [-mutate-count 0]
-//	         [-segment-rows 0] [-segment-budget 0] [-dump-warehouse table]
-//	         [-relstore-parallel 0] [-relstore-batch 0]
+//	         [-segment-rows 0] [-dump-warehouse table]
 //	         [-with-text] [-text-append 0] [-text-corrupt 0]
 //	         [-checkpoint-dir dir] [-resume] [-crash step[:before|:after]]
 //	         [-quarantine-budget 0] [-quarantine-out file|-]
@@ -105,7 +97,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -154,10 +145,7 @@ func main() {
 	textAppend := flag.Int("text-append", 0, "append this many further ground-truth reports to the Notes contributor after the build (needs -with-text; journaled, so -refresh-delta picks them up)")
 	textCorrupt := flag.Int("text-corrupt", 0, "inject this many out-of-vocabulary reports into the Notes contributor (needs -with-text; they quarantine under -quarantine-budget)")
 	segmentRows := flag.Int("segment-rows", 0, "persist warehouse tables in the v2 segment-file layout with this many rows per segment (0 = v1 single-stream)")
-	segmentBudget := flag.Int64("segment-budget", 0, "resident byte budget for -dump-warehouse over a v2 segment file (0 = unlimited)")
-	dumpWarehouseTable := flag.String("dump-warehouse", "", "stream this warehouse table (v1 or v2 layout) from -warehouse-dir to stdout in canonical v1 form and exit")
-	relstoreParallel := flag.Int("relstore-parallel", 0, "worker bound for relstore's chunked columnar operators (0 = default of min(GOMAXPROCS, 8))")
-	relstoreBatch := flag.Int("relstore-batch", 0, "chunk width for relstore's columnar operators (0 = default 4096)")
+	dumpWarehouseTable := flag.String("dump-warehouse", "", "write this warehouse table (v1 or v2 layout) from -warehouse-dir to stdout in canonical v1 form and exit")
 	crashAt := flag.String("crash", "", "simulate a process crash at this step; step or step:before|:after (reference study)")
 	quarBudget := flag.Int("quarantine-budget", 0, "max rows diverted to the dead-letter relation before a step fails (0 = quarantine off)")
 	quarOut := flag.String("quarantine-out", "", "write the quarantined rows with provenance to this file (\"-\" = stdout)")
@@ -172,17 +160,11 @@ func main() {
 	execTrace := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
-	if *relstoreParallel > 0 {
-		relstore.SetParallelism(*relstoreParallel)
-	}
-	if *relstoreBatch > 0 {
-		relstore.SetBatchSize(*relstoreBatch)
-	}
 	if *dumpWarehouseTable != "" {
 		if *warehouseDir == "" {
 			fail(fmt.Errorf("-dump-warehouse needs -warehouse-dir"))
 		}
-		if err := dumpWarehouse(*warehouseDir, *dumpWarehouseTable, *segmentBudget); err != nil {
+		if err := dumpWarehouse(*warehouseDir, *dumpWarehouseTable); err != nil {
 			fail(err)
 		}
 		return
@@ -614,8 +596,7 @@ func loadWarehouse(dir string, db *relstore.DB) (int, error) {
 // every column — canonical bytes, so warehouses reached by different routes
 // (delta refresh vs full recompute) compare equal with plain cmp. With
 // segRows > 0 tables are written in the v2 segment-file layout (segRows rows
-// per checksummed segment) so later runs can load them lazily under a byte
-// budget; 0 keeps the v1 single-stream layout.
+// per checksummed segment); 0 keeps the v1 single-stream layout.
 func saveWarehouse(dir string, db *relstore.DB, segRows int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -650,43 +631,13 @@ func saveWarehouse(dir string, db *relstore.DB, segRows int) error {
 	return nil
 }
 
-// dumpWarehouse streams one warehouse table to stdout in canonical v1 typed
-// form, whatever layout it is stored in. A v2 segment file streams through a
-// SegmentSet under the byte budget — segments load, emit, and evict, so the
-// dump never materializes the whole relation — which is how the CI smoke job
-// diffs a segment-mode warehouse against an in-memory-mode one.
-func dumpWarehouse(dir, name string, budget int64) error {
-	path := filepath.Join(dir, name+".rel")
-	set, err := relstore.OpenSegments(path, budget)
-	if err == nil {
-		defer set.Close()
-		w := bufio.NewWriter(os.Stdout)
-		sl, err := relstore.MarshalSchemaJSON(set.Schema())
-		if err != nil {
-			return err
-		}
-		w.Write(sl)
-		w.WriteByte('\n')
-		var line []byte
-		var rowErr error
-		scanErr := set.Scan(func(r relstore.Row) bool {
-			if line, rowErr = relstore.AppendRowJSON(line[:0], r); rowErr != nil {
-				return false
-			}
-			line = append(line, '\n')
-			w.Write(line)
-			return true
-		})
-		if scanErr != nil {
-			return scanErr
-		}
-		if rowErr != nil {
-			return rowErr
-		}
-		return w.Flush()
-	}
-	// Not a v2 segment file: read the v1 stream and echo it back.
-	f, err := os.Open(path)
+// dumpWarehouse writes one warehouse table to stdout in canonical v1 typed
+// form, whatever layout it is stored in: ReadTyped reads v1 and v2 alike,
+// checking every v2 segment's checksum and row count, and WriteTyped
+// re-emits the rows as one v1 stream — which is how the CI smoke job diffs
+// a segment-mode warehouse against a flat one.
+func dumpWarehouse(dir, name string) error {
+	f, err := os.Open(filepath.Join(dir, name+".rel"))
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@
 //	       [-request-timeout 10s] [-plan-cache 16] [-result-cache 128]
 //	       [-retries 0] [-step-timeout 0] [-continue]
 //	       [-warehouse-dir /var/lib/studyd] [-fs-faults torn_rename:MANIFEST@0]
-//	       [-trace-out spans.jsonl] [-parallel 0] [-with-text]
+//	       [-trace-out spans.jsonl] [-with-text]
 //
 // With -warehouse-dir, every data-changing refresh is persisted as an
 // immutable generation (segment file + checksummed MANIFEST); a restart —
@@ -46,7 +46,6 @@ import (
 	"guava/internal/etl"
 	"guava/internal/etl/faulty"
 	"guava/internal/obs"
-	"guava/internal/relstore"
 	"guava/internal/serve"
 	"guava/internal/workload"
 )
@@ -65,19 +64,11 @@ func main() {
 	contOnErr := flag.Bool("continue", false, "refresh continues past failed contributors (graceful degradation)")
 	traceOut := flag.String("trace-out", "", "append request/refresh spans as JSON lines to this file")
 	badStudy := flag.Bool("bad-study", false, "additionally register a \"badplan\" study (lazily) whose compiled plan is contradictory; its first extract or refresh is rejected with 422 by the plan-admission gate")
-	parallel := flag.Int("parallel", 0, "worker bound for relstore's chunked columnar scans (0 = default of min(GOMAXPROCS, 8), 1 = sequential)")
 	warehouseDir := flag.String("warehouse-dir", "", "persist study generations under this directory and recover the newest complete one at startup (empty = memory only)")
 	fsFaults := flag.String("fs-faults", "", "inject storage faults into warehouse writes, kind[:pathsub][@after][~delay],... e.g. torn_rename:MANIFEST@0")
 	maxPerStudy := flag.Int("max-per-study", 0, "concurrent cache-miss extracts admitted per study before 429 (0 = no per-study bound)")
 	withText := flag.Bool("with-text", false, "add the free-text Notes contributor so the served studies mix text and database sources")
 	flag.Parse()
-
-	if *parallel > 0 {
-		// Extract predicates push down into relstore's chunked scans; this
-		// bounds the per-scan fan-out so it composes with -max-inflight
-		// instead of multiplying it unchecked.
-		relstore.SetParallelism(*parallel)
-	}
 
 	observer := &obs.Observer{Metrics: obs.NewRegistry()}
 	var traceFile *os.File

@@ -10,9 +10,9 @@ import (
 	"guava/internal/workload"
 )
 
-// TestConcurrentScansDuringDeltaRefresh races the columnar scan path against
-// in-flight delta refreshes: reader goroutines run parallel chunked selects
-// over the warehouse tables while the writer applies mutation batches and
+// TestConcurrentScansDuringDeltaRefresh races the predicate scan path against
+// in-flight delta refreshes: reader goroutines run selects over the
+// warehouse tables while the writer applies mutation batches and
 // patches the warehouse through delta refreshes. Run under -race; the assertions
 // are that no scan observes a torn row and that the warehouse still matches a
 // from-scratch rebuild when the dust settles.

@@ -1,4 +1,4 @@
-// Package lint is guava's zero-dependency repo-invariant linter: four
+// Package lint is guava's zero-dependency repo-invariant linter: five
 // structural rules over the Go source tree that gofmt and go vet do not
 // cover, built on go/ast and go/parser alone.
 //
@@ -18,6 +18,11 @@
 //   - ctx-first: exported Run-prefixed functions with parameters take a
 //     context.Context first, and no function buries a context.Context after
 //     other parameters.
+//   - dead-export: an exported top-level func, type, var or const of a
+//     package under internal/ has a non-test caller in another package —
+//     the facade, cmd/ and examples/ count, cmd/coribench and bench/ do not
+//     — or an allowlist entry saying why it stays. Code only a test or a
+//     benchmark exercises is deleted, unexported or justified.
 //
 // Findings are deterministic: sorted by file, line, rule.
 package lint
@@ -39,7 +44,7 @@ import (
 type Finding struct {
 	File string // path relative to the linted root
 	Line int
-	Rule string // determinism | obs-names | mutex-guard | ctx-first
+	Rule string // determinism | obs-names | mutex-guard | ctx-first | dead-export
 	Msg  string
 }
 
@@ -47,9 +52,9 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Rule, f.Msg)
 }
 
-// Options configures a lint run. The zero value disables the determinism
-// and obs-names rules (no dirs, no doc); DefaultOptions returns guava's
-// repo configuration.
+// Options configures a lint run. The zero value disables the determinism,
+// obs-names and dead-export rules (no dirs, no doc, no allowlist);
+// DefaultOptions returns guava's repo configuration.
 type Options struct {
 	// DeterministicDirs are root-relative directories whose non-test files
 	// must not read the wall clock or import math/rand.
@@ -60,6 +65,11 @@ type Options struct {
 	// ObsDoc is the root-relative markdown file whose metric table is the
 	// registry of record for obs-names; "" disables the rule.
 	ObsDoc string
+	// deadExportAllow exempts exports from the dead-export rule, keyed
+	// "<root-relative package dir>.<Name>", each with a one-line reason;
+	// nil disables the rule, and only DefaultOptions enables it. The module
+	// path comes from root's go.mod.
+	deadExportAllow map[string]string
 }
 
 // DefaultOptions is the configuration guavalint runs with on this repo.
@@ -75,7 +85,8 @@ func DefaultOptions() Options {
 			"exec.go":   true, // executor: backoff, deadlines, step timing
 			"policy.go": true, // RunPolicy: deadline arithmetic
 		},
-		ObsDoc: "OBSERVABILITY.md",
+		ObsDoc:          "OBSERVABILITY.md",
+		deadExportAllow: deadExportAllowlist(),
 	}
 }
 
@@ -93,6 +104,12 @@ func Lint(root string, opts Options) ([]Finding, error) {
 			return nil, fmt.Errorf("lint: obs-names doc: %w", err)
 		}
 		obsNames = parseMetricDoc(string(raw))
+	}
+	var module string
+	if opts.deadExportAllow != nil {
+		if module, err = modulePath(root); err != nil {
+			return nil, err
+		}
 	}
 	detDirs := make(map[string]bool, len(opts.DeterministicDirs))
 	for _, d := range opts.DeterministicDirs {
@@ -125,6 +142,9 @@ func Lint(root string, opts Options) ([]Finding, error) {
 			checkCtxFirst(file, emit)
 		}
 		checkMutexGuards(pkg, fset, emit)
+	}
+	if opts.deadExportAllow != nil {
+		checkDeadExports(pkgs, module, opts.deadExportAllow, emit)
 	}
 
 	sort.Slice(out, func(i, j int) bool {
@@ -205,6 +225,20 @@ func loadPackages(root string) ([]*srcPkg, *token.FileSet, error) {
 		pkgs = append(pkgs, byDir[d])
 	}
 	return pkgs, fset, nil
+}
+
+// modulePath reads the module path from root's go.mod.
+func modulePath(root string) (string, error) {
+	raw, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", fmt.Errorf("lint: dead-export: %w", err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+		}
+	}
+	return "", fmt.Errorf("lint: dead-export: no module line in %s", filepath.Join(root, "go.mod"))
 }
 
 // importTable maps each import's local name (alias or path base) to its

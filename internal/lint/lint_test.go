@@ -2,6 +2,7 @@ package lint
 
 import (
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -304,6 +305,189 @@ func (j *Job) runAll(workers int) {}
 func Runtime(n int) int { return n }
 `,
 	}, Options{}))
+}
+
+// deadOpts enables the dead-export rule with the given allowlist.
+func deadOpts(allow map[string]string) Options {
+	return Options{deadExportAllow: allow}
+}
+
+func TestDeadExportSeededViolation(t *testing.T) {
+	fs := lintTree(t, map[string]string{
+		"go.mod": "module m\n",
+		"internal/core/core.go": `package core
+
+type T struct{ Field Inner }
+
+type Inner struct{}
+
+func (T) Method() Result { return Result{} }
+
+type Result struct{}
+
+func Used() T { return T{} }
+
+func Dead() {}
+
+func helper() {}
+`,
+		"cmd/app/main.go": `package main
+
+import "m/internal/core"
+
+func main() { core.Used() }
+`,
+	}, deadOpts(map[string]string{}))
+	// T, Inner and Result reach callers through Used's signature, T's
+	// exported field and T's exported method; Dead reaches nobody.
+	wantFinding(t, fs, "dead-export", "core.Dead has no non-test caller")
+}
+
+func TestDeadExportIgnoredCallersDoNotCount(t *testing.T) {
+	fs := lintTree(t, map[string]string{
+		"go.mod": "module m\n",
+		"internal/core/core.go": `package core
+
+func Bench() {}
+
+func Harness() {}
+
+func Tested() {}
+
+func Facade() {}
+
+func Example() {}
+
+func Sibling() {}
+`,
+		"cmd/coribench/main.go": `package main
+
+import "m/internal/core"
+
+func main() { core.Bench() }
+`,
+		"bench/driver.go": `package main
+
+import "m/internal/core"
+
+func drive() { core.Harness() }
+`,
+		"internal/other/other_test.go": `package other
+
+import (
+	"testing"
+
+	c "m/internal/core"
+)
+
+func TestX(t *testing.T) { c.Tested() }
+`,
+		"facade.go": `package m
+
+import "m/internal/core"
+
+func F() { core.Facade() }
+`,
+		"examples/demo/main.go": `package main
+
+import "m/internal/core"
+
+func main() { core.Example() }
+`,
+		"internal/other/other.go": `package other
+
+import "m/internal/core"
+
+func O() { core.Sibling() }
+`,
+	}, deadOpts(map[string]string{}))
+	var got []string
+	for _, f := range fs {
+		if f.Rule != "dead-export" {
+			t.Fatalf("unexpected finding %v", f)
+		}
+		got = append(got, f.Msg[:strings.Index(f.Msg, " has")])
+	}
+	want := []string{"core.Bench", "core.Harness", "core.Tested", "other.O"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("dead exports %v, want %v", got, want)
+	}
+}
+
+func TestDeadExportConstGroupsAndAllowlist(t *testing.T) {
+	fs := lintTree(t, map[string]string{
+		"go.mod": "module m\n",
+		"internal/core/core.go": `package core
+
+type Kind int
+
+const (
+	KindA Kind = iota
+	KindB
+)
+
+const (
+	ModeX = iota
+	ModeY
+)
+
+const (
+	LevelLow = iota
+	LevelHigh
+)
+
+func Use(k Kind) {}
+
+func Kept() {}
+
+var Lone = 1
+`,
+		"main.go": `package main
+
+import "m/internal/core"
+
+func main() { core.Use(0); _ = core.ModeY }
+`,
+	}, deadOpts(map[string]string{"internal/core.Kept": "paper artifact"}))
+	// KindA/KindB live through their type, ModeX through ModeY, Kept
+	// through the allowlist; LevelLow/LevelHigh and Lone are dead.
+	var got []string
+	for _, f := range fs {
+		got = append(got, f.Msg[:strings.Index(f.Msg, " has")])
+	}
+	want := []string{"core.LevelLow, LevelHigh", "core.Lone"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("dead exports %v, want %v", got, want)
+	}
+}
+
+// TestDeadExportAllowlistIsTight: every allowlist entry must name an export
+// the rule flags without it, so an entry whose export gained a caller or
+// went away does not linger.
+func TestDeadExportAllowlistIsTight(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Lint(root, deadOpts(map[string]string{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := map[string]bool{}
+	for _, f := range fs {
+		if f.Rule != "dead-export" {
+			continue
+		}
+		msg := f.Msg[:strings.Index(f.Msg, " has")]
+		for _, name := range strings.Split(msg[strings.Index(msg, ".")+1:], ", ") {
+			dead[path.Dir(f.File)+"."+name] = true
+		}
+	}
+	for key := range DefaultOptions().deadExportAllow {
+		if !dead[key] {
+			t.Errorf("allowlist entry %s names no dead export", key)
+		}
+	}
 }
 
 // TestRepoIsClean is the acceptance gate: guava's own tree must produce zero

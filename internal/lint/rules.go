@@ -342,3 +342,204 @@ func checkCtxFirst(f *srcFile, emit emitFunc) {
 		}
 	}
 }
+
+// --- dead-export -----------------------------------------------------------
+
+// deadExportIgnored are the root-relative directories whose references do
+// not keep an export alive: a benchmark harness is not a production caller.
+var deadExportIgnored = []string{"cmd/coribench", "bench"}
+
+// checkDeadExports flags exported top-level funcs, types, vars and consts
+// of packages under internal/ that no non-test file of another package
+// references — code that only its own package, a test or a benchmark
+// exercises. The facade, cmd/ and examples/ count as callers; the
+// deadExportIgnored dirs do not. Methods are out of scope. A type also
+// counts as referenced when it appears in the signature of a referenced
+// func, or in the exported fields or exported method signatures of a
+// referenced type: callers hold its values without naming it. The
+// constants of one parenthesized group count as one declaration, so an
+// enum stays whole while any of its values, or the type it declares them
+// with, is referenced. allow exempts "<dir>.<Name>" entries (any one name
+// of a constant group exempts the group), each with its reason.
+func checkDeadExports(pkgs []*srcPkg, module string, allow map[string]string, emit emitFunc) {
+	used := map[string]bool{} // "<import path>.<Name>"
+	for _, pkg := range pkgs {
+		if ignoredCaller(pkg.relDir) {
+			continue
+		}
+		for _, f := range pkg.files {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && f.imports[id.Name] != "" {
+						used[f.imports[id.Name]+"."+sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.relDir, "internal/") {
+			continue
+		}
+		path := module + "/" + pkg.relDir
+		reachThroughAPI(pkg, path, used)
+
+		// check flags a declaration none of whose names is referenced or
+		// allowlisted.
+		check := func(pos token.Pos, names []*ast.Ident) {
+			var dead []string
+			for _, id := range names {
+				if !id.IsExported() {
+					continue
+				}
+				if _, ok := allow[pkg.relDir+"."+id.Name]; ok || used[path+"."+id.Name] {
+					return
+				}
+				dead = append(dead, id.Name)
+			}
+			if len(dead) > 0 {
+				emit(pos, "dead-export", "%s.%s has no non-test caller outside its package; delete it, unexport it, or allowlist it with a reason",
+					pkg.relDir[strings.LastIndex(pkg.relDir, "/")+1:], strings.Join(dead, ", "))
+			}
+		}
+		for _, f := range pkg.files {
+			if f.ast.Name.Name == "main" {
+				continue
+			}
+			for _, decl := range f.ast.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						check(d.Name.Pos(), []*ast.Ident{d.Name})
+					}
+				case *ast.GenDecl:
+					var group []*ast.Ident
+					typeUsed := false // the group declares its values with a referenced type
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							check(s.Name.Pos(), []*ast.Ident{s.Name})
+						case *ast.ValueSpec:
+							if d.Tok == token.CONST && d.Lparen.IsValid() {
+								group = append(group, s.Names...)
+								if t, ok := s.Type.(*ast.Ident); ok && used[path+"."+t.Name] {
+									typeUsed = true
+								}
+								continue
+							}
+							for _, id := range s.Names {
+								check(id.Pos(), []*ast.Ident{id})
+							}
+						}
+					}
+					if len(group) > 0 && !typeUsed {
+						check(d.Pos(), group)
+					}
+				}
+			}
+		}
+	}
+}
+
+// reachThroughAPI marks used, under pkg's import path, every type of pkg
+// that a referenced func's signature, or a referenced type's exported
+// fields and exported method signatures, names — transitively.
+func reachThroughAPI(pkg *srcPkg, path string, used map[string]bool) {
+	types := map[string]*ast.TypeSpec{}
+	funcs := map[string]*ast.FuncDecl{}
+	methods := map[string][]*ast.FuncDecl{} // receiver type -> exported methods
+	for _, f := range pkg.files {
+		for _, decl := range f.ast.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					funcs[d.Name.Name] = d
+				} else if recv := recvType(d.Recv.List[0].Type); recv != "" && d.Name.IsExported() {
+					methods[recv] = append(methods[recv], d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						types[ts.Name.Name] = ts
+					}
+				}
+			}
+		}
+	}
+	var queue []string
+	for name := range funcs {
+		if used[path+"."+name] {
+			queue = append(queue, name)
+		}
+	}
+	for name := range types {
+		if used[path+"."+name] {
+			queue = append(queue, name)
+		}
+	}
+	for len(queue) > 0 {
+		name := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		var api []ast.Node
+		if fn, ok := funcs[name]; ok {
+			api = append(api, fn.Type)
+		}
+		if ts, ok := types[name]; ok {
+			if st, isStruct := ts.Type.(*ast.StructType); isStruct {
+				for _, field := range st.Fields.List {
+					if len(field.Names) == 0 || field.Names[0].IsExported() {
+						api = append(api, field.Type)
+					}
+				}
+			} else {
+				api = append(api, ts.Type)
+			}
+			for _, m := range methods[name] {
+				api = append(api, m.Type)
+			}
+		}
+		for _, n := range api {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.SelectorExpr:
+					return false // another package's name
+				case *ast.Ident:
+					if _, ok := types[x.Name]; ok && !used[path+"."+x.Name] {
+						used[path+"."+x.Name] = true
+						queue = append(queue, x.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// recvType returns the type name of a method receiver expression.
+func recvType(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// ignoredCaller reports whether references from dir do not count as callers.
+func ignoredCaller(dir string) bool {
+	for _, d := range deadExportIgnored {
+		if dir == d || strings.HasPrefix(dir, d+"/") {
+			return true
+		}
+	}
+	return false
+}

@@ -12,7 +12,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadCSV(&buf, in.Schema)
+	out, err := readCSV(&buf, in.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,16 +28,16 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestReadCSVHeaderValidation(t *testing.T) {
 	s := MustSchema(Column{Name: "A", Type: KindInt}, Column{Name: "B", Type: KindString})
-	if _, err := ReadCSV(strings.NewReader("A,WRONG\n1,x\n"), s); err == nil {
+	if _, err := readCSV(strings.NewReader("A,WRONG\n1,x\n"), s); err == nil {
 		t.Error("wrong header name must fail")
 	}
-	if _, err := ReadCSV(strings.NewReader("A\n1\n"), s); err == nil {
+	if _, err := readCSV(strings.NewReader("A\n1\n"), s); err == nil {
 		t.Error("wrong header arity must fail")
 	}
-	if _, err := ReadCSV(strings.NewReader("A,B\nnotanint,x\n"), s); err == nil {
+	if _, err := readCSV(strings.NewReader("A,B\nnotanint,x\n"), s); err == nil {
 		t.Error("uncoercible field must fail")
 	}
-	out, err := ReadCSV(strings.NewReader("A,B\n7,hello\n,\n"), s)
+	out, err := readCSV(strings.NewReader("A,B\n7,hello\n,\n"), s)
 	if err != nil {
 		t.Fatal(err)
 	}

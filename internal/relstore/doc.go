@@ -28,49 +28,14 @@
 // row changed under it (rowcheck.go); the default build compiles that
 // check to nothing.
 //
-// # Columnar execution
+// # Execution
 //
-// Operators execute on a columnar core. A relation is still presented to
-// callers as row-oriented ([Rows], [Row]), but internally the hot operators
-// split their input into fixed-size chunks ([BatchSize] rows, default 4096)
-// and evaluate each chunk against typed column vectors:
-//
-//   - [Vector] is one column of a chunk in struct-of-arrays form — a typed
-//     payload slice for the column's declared kind, a null bitmap, and a
-//     sparse exception map for the rare cells whose runtime kind differs
-//     from the declared kind (e.g. an Int stored in a REAL column, which
-//     [Schema.Validate] permits). Vector.Value reconstructs every cell
-//     exactly, so the columnar form is lossless.
-//   - [Batch] is a chunk of vectors sharing a schema; [BatchFromRows]
-//     vectorizes only the columns an operator touches.
-//
-// Predicates over plain column/literal operands run as typed loops
-// (see the kernels in colexec.go); everything else — CASE guards,
-// arithmetic comparands, derivations — falls back to per-row evaluation
-// restricted to still-selected rows, so AND/OR short-circuit error
-// semantics match row-at-a-time evaluation exactly.
-//
-// # Parallelism
-//
-// Multi-chunk operator calls fan out across a bounded worker pool of
-// [Parallelism] goroutines (default min(GOMAXPROCS, 8); configure with
-// [SetParallelism], 1 disables parallelism). Select, Project, Derive,
-// Extend, Join, LeftJoin, Distinct, SortBy, Pivot, Unpivot, and GroupBy all
-// use the pool for their scan/probe/key phases, but every operator
-// assembles chunk results in chunk order, so output is byte-identical to
-// sequential execution regardless of the pool size. UnionAll and Rename are
-// pure copies and stay sequential.
-//
-// # Sharding
-//
-// Callers opt into coarser-grained parallelism by hash-sharding a relation
-// on an entity-key column: [NewShardedTable] builds an n-way [ShardedTable]
-// whose inserts route by FNV-1a hash of the key value and whose Select runs
-// one pool task per shard (each shard is an independent [Table] with its
-// own lock and indexes); [ShardRows] partitions a transient [Rows] the same
-// way, and [ShardedJoin] joins shard pairs in parallel. Sharded results are
-// deterministic — shard order, then per-shard order — but ShardedJoin's
-// output is shard-grouped rather than left-relation order.
+// Every predicate scan — [Select], [Table.Select], [Table.SelectPage],
+// [Table.Delete] and [Table.Update] — binds its predicate to the schema once
+// (column names resolved to positions) and tests each row with exactly
+// [Pred.Eval]'s semantics, AND/OR short-circuit and errors included; every
+// other operator is a plain sequential loop. Parallelism lives one level
+// up, in the ETL executor, which runs independent workflow steps at once.
 //
 // # Durable format
 //
@@ -82,8 +47,7 @@
 // layout; [WriteTypedSegmented] and [Table.WriteTypedSegmented] emit the v2
 // segment-file layout (segment.go), encoding every row line into one
 // buffer — the method straight from table storage, copying no row. The v2
-// header indexes fixed-size, CRC-checksummed blocks so [OpenSegments] can
-// serve a relation bigger than RAM from a [SegmentSet] that lazily loads
-// and LRU-evicts segments under a byte budget. [ReadTyped] sniffs the
-// version from the first byte and reads both.
+// header indexes fixed-size, CRC-checksummed blocks; [ReadTyped] sniffs the
+// version from the first byte, reads both, and checks every v2 segment's
+// checksum and row count.
 package relstore

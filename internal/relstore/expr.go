@@ -239,11 +239,6 @@ type FuncExpr struct {
 	Args []Expr
 }
 
-// Call builds a scalar function application.
-func Call(name string, args ...Expr) FuncExpr {
-	return FuncExpr{Name: strings.ToUpper(name), Args: args}
-}
-
 // Eval implements Expr.
 func (f FuncExpr) Eval(r Row, s *Schema) (Value, error) {
 	vals := make([]Value, len(f.Args))

@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// call builds a scalar function application.
+func call(name string, args ...Expr) FuncExpr {
+	return FuncExpr{Name: strings.ToUpper(name), Args: args}
+}
+
 var exprSchema = MustSchema(
 	Column{Name: "X", Type: KindInt},
 	Column{Name: "Y", Type: KindFloat},
@@ -129,14 +134,14 @@ func TestFuncs(t *testing.T) {
 		e    Expr
 		want Value
 	}{
-		{Call("ABS", Col("X")), Int(4)},
-		{Call("ABS", Lit(Float(-2.5))), Float(2.5)},
-		{Call("ROUND", Col("Y")), Float(3)},
-		{Call("LENGTH", Lit(Str("abc"))), Int(3)},
-		{Call("LOWER", Call("TRIM", Col("S"))), Str("mixed")},
-		{Call("UPPER", Call("TRIM", Col("S"))), Str("MIXED")},
-		{Call("COALESCE", Lit(Null()), Col("X"), Lit(Int(9))), Int(-4)},
-		{Call("COALESCE", Lit(Null()), Lit(Null())), Null()},
+		{call("ABS", Col("X")), Int(4)},
+		{call("ABS", Lit(Float(-2.5))), Float(2.5)},
+		{call("ROUND", Col("Y")), Float(3)},
+		{call("LENGTH", Lit(Str("abc"))), Int(3)},
+		{call("LOWER", call("TRIM", Col("S"))), Str("mixed")},
+		{call("UPPER", call("TRIM", Col("S"))), Str("MIXED")},
+		{call("COALESCE", Lit(Null()), Col("X"), Lit(Int(9))), Int(-4)},
+		{call("COALESCE", Lit(Null()), Lit(Null())), Null()},
 	}
 	for _, c := range cases {
 		got := evalExpr(t, c.e, r)
@@ -150,13 +155,13 @@ func TestFuncs(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.e.SQL(), got, c.want)
 		}
 	}
-	if _, err := Call("NOPE", Col("X")).Eval(r, exprSchema); err == nil {
+	if _, err := call("NOPE", Col("X")).Eval(r, exprSchema); err == nil {
 		t.Error("unknown function must error")
 	}
-	if _, err := Call("ABS").Eval(r, exprSchema); err == nil {
+	if _, err := call("ABS").Eval(r, exprSchema); err == nil {
 		t.Error("wrong arity must error")
 	}
-	if _, err := Call("ABS", Col("S")).Eval(r, exprSchema); err == nil {
+	if _, err := call("ABS", Col("S")).Eval(r, exprSchema); err == nil {
 		t.Error("ABS of string must error")
 	}
 }

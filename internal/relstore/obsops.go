@@ -24,30 +24,11 @@ var (
 	opGroupBy  = obs.Default.Counter("relstore.ops.group_by")
 )
 
-// Columnar-execution counters, under "relstore.batch.*": chunks and rows
-// that went through the chunked batch kernels, and how many operator calls
-// actually fanned out across the worker pool (multi-chunk inputs with
-// Parallelism > 1).
-var (
-	mBatchChunks   = obs.Default.Counter("relstore.batch.chunks")
-	mBatchRows     = obs.Default.Counter("relstore.batch.rows")
-	mBatchParallel = obs.Default.Counter("relstore.batch.parallel_ops")
-)
+// relstore.batch.rows counts the rows that predicate scans (the Select
+// operator and Table.SelectPage's full-scan path) and the bulk operators
+// (Project, Derive, Extend, Join, Distinct, Pivot, Unpivot, GroupBy and
+// EqualUnordered, one count per pass) passed over.
+var mBatchRows = obs.Default.Counter("relstore.batch.rows")
 
-// Sharding counters, under "relstore.shard.*": rows routed into shards,
-// sharded scans/selects, and sharded joins.
-var (
-	mShardInserts = obs.Default.Counter("relstore.shard.inserts")
-	mShardSelects = obs.Default.Counter("relstore.shard.selects")
-	mShardJoins   = obs.Default.Counter("relstore.shard.joins")
-)
-
-// Segment-store counters, under "relstore.segment.*": v2 segment blocks
-// written, lazily loaded, served from the resident cache, and evicted under
-// the memory budget.
-var (
-	mSegWrites = obs.Default.Counter("relstore.segment.writes")
-	mSegLoads  = obs.Default.Counter("relstore.segment.loads")
-	mSegHits   = obs.Default.Counter("relstore.segment.hits")
-	mSegEvicts = obs.Default.Counter("relstore.segment.evictions")
-)
+// relstore.segment.writes counts the v2 segment blocks written.
+var mSegWrites = obs.Default.Counter("relstore.segment.writes")

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -37,38 +38,29 @@ func (r *Rows) Column(name string) ([]Value, error) {
 	return out, nil
 }
 
-// ParallelRowKeys computes fn over every row chunk-parallel, in row order.
-// It is the batch kernel behind multiset comparisons and group-key
-// extraction: key-string building dominates those paths, and each row's key
-// is independent, so the pool can fan it out.
-func ParallelRowKeys(data []Row, fn func(Row) string) []string {
+// rowKeys computes fn over every row, in row order: the key pass behind
+// multiset comparison, join, dedupe and grouping.
+func rowKeys(data []Row, fn func(Row) string) []string {
+	mBatchRows.Add(int64(len(data)))
 	keys := make([]string, len(data))
-	bounds := chunkBounds(len(data))
-	runChunks(len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		mBatchChunks.Inc()
-		mBatchRows.Add(int64(hi - lo))
-		for i := lo; i < hi; i++ {
-			keys[i] = fn(data[i])
-		}
-		return nil
-	})
+	for i, r := range data {
+		keys[i] = fn(r)
+	}
 	return keys
 }
 
 // EqualUnordered reports whether two results contain the same multiset of
 // rows over identical schemas, ignoring order. Used by the Hypothesis-3
-// equivalence tests (compiled ETL ≡ direct evaluation) and the columnar
+// equivalence tests (compiled ETL ≡ direct evaluation) and the operator
 // equivalence harness. The comparison sorts each side's row-key strings and
-// walks them pairwise — O(n log n) regardless of key collisions, where the
-// previous map-of-counts bucketed colliding keys — and the key extraction
-// itself runs chunk-parallel.
+// walks them pairwise — O(n log n) regardless of key collisions, where a
+// map of counts would bucket colliding keys.
 func (r *Rows) EqualUnordered(o *Rows) bool {
 	if !r.Schema.Equal(o.Schema) || len(r.Data) != len(o.Data) {
 		return false
 	}
-	ka := ParallelRowKeys(r.Data, Row.Key)
-	kb := ParallelRowKeys(o.Data, Row.Key)
+	ka := rowKeys(r.Data, Row.Key)
+	kb := rowKeys(o.Data, Row.Key)
 	sort.Strings(ka)
 	sort.Strings(kb)
 	for i := range ka {
@@ -120,21 +112,24 @@ func (r *Rows) Format() string {
 	return sb.String()
 }
 
-// Select returns the rows satisfying pred (nil pred keeps everything). The
-// predicate evaluates columnar: each chunk builds vectors for the columns
-// the predicate references and runs typed comparison kernels over them,
-// chunks fanning out across the worker pool; the surviving rows are gathered
-// in input order, so the result is identical to a row-at-a-time scan.
+// Select returns the rows satisfying pred (nil pred keeps everything), in
+// input order. The predicate is bound to the schema once (bindPred) and
+// tests each row with Pred.Eval's semantics, stopping at the first error.
 func Select(in *Rows, pred Pred) (*Rows, error) {
 	opSelect.Inc()
-	mask, err := predMask(pred, in)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]Row, 0, len(in.Data))
-	for i, keep := range mask {
-		if keep {
-			out = append(out, in.Data[i])
+	if pred == nil {
+		return &Rows{Schema: in.Schema, Data: append(out, in.Data...)}, nil
+	}
+	mBatchRows.Add(int64(len(in.Data)))
+	test := bindPred(pred, in.Schema)
+	for _, r := range in.Data {
+		ok, err := test(r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
 		}
 	}
 	return &Rows{Schema: in.Schema, Data: out}, nil
@@ -151,22 +146,15 @@ func Project(in *Rows, names ...string) (*Rows, error) {
 	for i, n := range names {
 		idx[i] = in.Schema.Index(n)
 	}
+	mBatchRows.Add(int64(len(in.Data)))
 	out := make([]Row, len(in.Data))
-	bounds := chunkBounds(len(in.Data))
-	runChunks(len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		mBatchChunks.Inc()
-		mBatchRows.Add(int64(hi - lo))
-		for j := lo; j < hi; j++ {
-			row := in.Data[j]
-			nr := make(Row, len(idx))
-			for i, k := range idx {
-				nr[i] = row[k]
-			}
-			out[j] = nr
+	for j, row := range in.Data {
+		nr := make(Row, len(idx))
+		for i, k := range idx {
+			nr[i] = row[k]
 		}
-		return nil
-	})
+		out[j] = nr
+	}
 	return &Rows{Schema: schema, Data: out}, nil
 }
 
@@ -208,32 +196,20 @@ func DeriveRow(derivs []Derivation, row Row, schema *Schema) (Row, error) {
 }
 
 // Derive computes a new relation whose columns are the given derivations
-// evaluated over each input row (a generalized projection; SELECT exprs).
-// Rows are independent, so derivation evaluation is chunked across the
-// worker pool; output positions are fixed up front, keeping order exact.
+// evaluated over each input row (a generalized projection; SELECT exprs),
+// stopping at the first row that fails.
 func Derive(in *Rows, derivs ...Derivation) (*Rows, error) {
 	opDerive.Inc()
 	schema, err := DeriveSchema(derivs)
 	if err != nil {
 		return nil, err
 	}
+	mBatchRows.Add(int64(len(in.Data)))
 	out := make([]Row, len(in.Data))
-	bounds := chunkBounds(len(in.Data))
-	err = runChunks(len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		mBatchChunks.Inc()
-		mBatchRows.Add(int64(hi - lo))
-		for j := lo; j < hi; j++ {
-			nr, err := DeriveRow(derivs, in.Data[j], in.Schema)
-			if err != nil {
-				return err
-			}
-			out[j] = nr
+	for j, row := range in.Data {
+		if out[j], err = DeriveRow(derivs, row, in.Schema); err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &Rows{Schema: schema, Data: out}, nil
 }
@@ -249,35 +225,25 @@ func Extend(in *Rows, derivs ...Derivation) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
+	mBatchRows.Add(int64(len(in.Data)))
 	out := make([]Row, len(in.Data))
-	bounds := chunkBounds(len(in.Data))
-	err = runChunks(len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		mBatchChunks.Inc()
-		mBatchRows.Add(int64(hi - lo))
-		for j := lo; j < hi; j++ {
-			row := in.Data[j]
-			nr := make(Row, 0, schema.Arity())
-			nr = append(nr, row...)
-			for _, d := range derivs {
-				v, err := d.Expr.Eval(row, in.Schema)
-				if err != nil {
-					return fmt.Errorf("extend %s: %w", d.Name, err)
-				}
-				if !v.IsNull() && d.Type != KindNull && v.Kind() != d.Type {
-					v, err = Coerce(v, d.Type)
-					if err != nil {
-						return fmt.Errorf("extend %s: %w", d.Name, err)
-					}
-				}
-				nr = append(nr, v)
+	for j, row := range in.Data {
+		nr := make(Row, 0, schema.Arity())
+		nr = append(nr, row...)
+		for _, d := range derivs {
+			v, err := d.Expr.Eval(row, in.Schema)
+			if err != nil {
+				return nil, fmt.Errorf("extend %s: %w", d.Name, err)
 			}
-			out[j] = nr
+			if !v.IsNull() && d.Type != KindNull && v.Kind() != d.Type {
+				v, err = Coerce(v, d.Type)
+				if err != nil {
+					return nil, fmt.Errorf("extend %s: %w", d.Name, err)
+				}
+			}
+			nr = append(nr, v)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out[j] = nr
 	}
 	return &Rows{Schema: schema, Data: out}, nil
 }
@@ -311,10 +277,10 @@ func joinSchema(left, right *Schema, rightPrefix string) (*Schema, error) {
 	return schema, nil
 }
 
-// joinKeys extracts the join-key strings of col for every row chunk-parallel;
-// a NULL key yields "" (NULL never joins, and Value.Key never returns "").
+// joinKeys extracts the join-key string of column ci for every row; a NULL
+// key yields "" (NULL never joins, and Value.Key never returns "").
 func joinKeys(data []Row, ci int) []string {
-	return ParallelRowKeys(data, func(r Row) string {
+	return rowKeys(data, func(r Row) string {
 		if r[ci].IsNull() {
 			return ""
 		}
@@ -324,10 +290,9 @@ func joinKeys(data []Row, ci int) []string {
 
 // Join performs a hash equi-join on leftCol = rightCol. Columns of the right
 // relation that collide with left names are prefixed with the right prefix
-// (prefix + "_"). The join is an inner join. Key extraction on both sides is
-// chunked across the pool; the build hashes the right side in row order and
-// the probe fans left chunks out in parallel, concatenating per-chunk output
-// in chunk order — the exact row order a sequential nested probe produces.
+// (prefix + "_"). The join is an inner join: the build hashes the right
+// side in row order and the probe walks the left side, so the output is in
+// left order, then right order within one left row.
 func Join(left, right *Rows, leftCol, rightCol, rightPrefix string) (*Rows, error) {
 	opJoin.Inc()
 	li := left.Schema.Index(leftCol)
@@ -350,32 +315,19 @@ func Join(left, right *Rows, leftCol, rightCol, rightPrefix string) (*Rows, erro
 		}
 	}
 	leftKeys := joinKeys(left.Data, li)
-	bounds := chunkBounds(len(left.Data))
-	chunkOut := make([][]Row, len(bounds))
-	runChunks(len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		mBatchChunks.Inc()
-		mBatchRows.Add(int64(hi - lo))
-		var out []Row
-		for j := lo; j < hi; j++ {
-			k := leftKeys[j]
-			if k == "" {
-				continue
-			}
-			lrow := left.Data[j]
-			for _, rj := range buckets[k] {
-				nr := make(Row, 0, schema.Arity())
-				nr = append(nr, lrow...)
-				nr = append(nr, right.Data[rj]...)
-				out = append(out, nr)
-			}
-		}
-		chunkOut[ci] = out
-		return nil
-	})
+	mBatchRows.Add(int64(len(left.Data)))
 	var out []Row
-	for _, rows := range chunkOut {
-		out = append(out, rows...)
+	for j, k := range leftKeys {
+		if k == "" {
+			continue
+		}
+		lrow := left.Data[j]
+		for _, rj := range buckets[k] {
+			nr := make(Row, 0, schema.Arity())
+			nr = append(nr, lrow...)
+			nr = append(nr, right.Data[rj]...)
+			out = append(out, nr)
+		}
 	}
 	return &Rows{Schema: schema, Data: out}, nil
 }
@@ -438,12 +390,10 @@ func Union(rs ...*Rows) (*Rows, error) {
 	return Distinct(all), nil
 }
 
-// Distinct removes duplicate rows, keeping first occurrences in order. The
-// whole-row key strings the dedupe hashes on are computed chunk-parallel;
-// only the ordered membership pass is sequential.
+// Distinct removes duplicate rows, keeping first occurrences in order.
 func Distinct(in *Rows) *Rows {
 	opDistinct.Inc()
-	keys := ParallelRowKeys(in.Data, Row.Key)
+	keys := rowKeys(in.Data, Row.Key)
 	seen := make(map[string]bool, len(in.Data))
 	out := make([]Row, 0, len(in.Data))
 	for i, row := range in.Data {
@@ -456,9 +406,8 @@ func Distinct(in *Rows) *Rows {
 	return &Rows{Schema: in.Schema, Data: out}
 }
 
-// SortBy orders rows by the named columns ascending (stable). The sort runs
-// over an index permutation against column vectors of the key columns —
-// column-major access for the comparator — and gathers rows at the end.
+// SortBy orders rows by the named columns ascending (stable), comparing the
+// key cells of the rows directly.
 func SortBy(in *Rows, cols ...string) (*Rows, error) {
 	opSortBy.Inc()
 	idx := make([]int, len(cols))
@@ -469,39 +418,21 @@ func SortBy(in *Rows, cols ...string) (*Rows, error) {
 		}
 		idx[i] = k
 	}
-	n := len(in.Data)
-	keyVecs := make([]*Vector, len(idx))
-	if n > 0 {
-		b := BatchFromRows(&Rows{Schema: in.Schema, Data: in.Data}, 0, n, idx)
-		for i, k := range idx {
-			keyVecs[i] = b.Vecs[k]
-		}
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		for _, v := range keyVecs {
-			c := v.Value(perm[a]).Compare(v.Value(perm[b]))
-			if c != 0 {
-				return c < 0
+	out := append(make([]Row, 0, len(in.Data)), in.Data...)
+	slices.SortStableFunc(out, func(a, b Row) int {
+		for _, k := range idx {
+			if c := a[k].Compare(b[k]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
-	out := make([]Row, n)
-	for i, p := range perm {
-		out[i] = in.Data[p]
-	}
 	return &Rows{Schema: in.Schema, Data: out}, nil
 }
 
 // Pivot converts a wide relation to Entity-Attribute-Value form: for each
 // input row, one output row per value column, keyed by the key columns.
-// (The Generic design pattern of Table 1 stores data this way.) Each input
-// row expands independently, so chunks fan out across the pool and
-// concatenate in chunk order.
+// (The Generic design pattern of Table 1 stores data this way.)
 func Pivot(in *Rows, keyCols []string, attrCol, valCol string) (*Rows, error) {
 	opPivot.Inc()
 	keyIdx := make([]int, len(keyCols))
@@ -524,45 +455,32 @@ func Pivot(in *Rows, keyCols []string, attrCol, valCol string) (*Rows, error) {
 	for _, j := range keyIdx {
 		isKey[j] = true
 	}
-	bounds := chunkBounds(len(in.Data))
-	chunkOut := make([][]Row, len(bounds))
-	runChunks(len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		mBatchChunks.Inc()
-		mBatchRows.Add(int64(hi - lo))
-		var out []Row
-		for r := lo; r < hi; r++ {
-			row := in.Data[r]
-			for j, c := range in.Schema.Columns {
-				if isKey[j] {
-					continue
-				}
-				nr := make(Row, 0, schema.Arity())
-				for _, k := range keyIdx {
-					nr = append(nr, row[k])
-				}
-				nr = append(nr, Str(c.Name))
-				if row[j].IsNull() {
-					nr = append(nr, Null())
-				} else {
-					nr = append(nr, Str(row[j].Display()))
-				}
-				out = append(out, nr)
-			}
-		}
-		chunkOut[ci] = out
-		return nil
-	})
+	mBatchRows.Add(int64(len(in.Data)))
 	var out []Row
-	for _, rows := range chunkOut {
-		out = append(out, rows...)
+	for _, row := range in.Data {
+		for j, c := range in.Schema.Columns {
+			if isKey[j] {
+				continue
+			}
+			nr := make(Row, 0, schema.Arity())
+			for _, k := range keyIdx {
+				nr = append(nr, row[k])
+			}
+			nr = append(nr, Str(c.Name))
+			if row[j].IsNull() {
+				nr = append(nr, Null())
+			} else {
+				nr = append(nr, Str(row[j].Display()))
+			}
+			out = append(out, nr)
+		}
 	}
 	return &Rows{Schema: schema, Data: out}, nil
 }
 
-// groupKeys extracts the concatenated key strings of keyIdx chunk-parallel.
+// groupKeys extracts the concatenated key strings of keyIdx for every row.
 func groupKeys(data []Row, keyIdx []int) []string {
-	return ParallelRowKeys(data, func(row Row) string {
+	return rowKeys(data, func(row Row) string {
 		var kb strings.Builder
 		for _, k := range keyIdx {
 			kb.WriteString(row[k].Key())
@@ -577,9 +495,7 @@ func groupKeys(data []Row, keyIdx []int) []string {
 // tuple fold into one output row. Attributes absent for a key become NULL.
 // The paper's Join pattern "executes an un-pivot operation, either in code
 // or SQL if the operator exists in the DBMS"; relstore provides it natively.
-// The group-key extraction is chunked across the pool; the ordered fold that
-// assigns attributes into their key's row stays sequential, preserving
-// first-appearance output order.
+// Output rows follow the first appearance of each key tuple.
 func Unpivot(in *Rows, keyCols []string, attrCol, valCol string, attrs []Column) (*Rows, error) {
 	opUnpivot.Inc()
 	keyIdx := make([]int, len(keyCols))

@@ -418,4 +418,4 @@ func TestRowsCloneIndependence(t *testing.T) {
 }
 
 // Cmp2Bool adapts a predicate to a boolean scalar expression in tests.
-func Cmp2Bool(p Pred) Expr { return AsExpr(p) }
+func Cmp2Bool(p Pred) Expr { return PredExpr{P: p} }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -18,6 +19,139 @@ func evalPred(p Pred, r Row, s *Schema) (bool, error) {
 		return true, nil
 	}
 	return p.Eval(r, s)
+}
+
+// rowTest is a predicate bound to one schema: it tests one row.
+type rowTest func(Row) (bool, error)
+
+// bindPred binds p to s once per scan, so no row pays a column-name lookup:
+// every row gets exactly the answer and the error evalPred(p, row, s)
+// gives. A comparison between a column and a literal, and an IS NULL or IN
+// over a column, read the cell at its resolved position; AND, OR and NOT
+// combine their bound operands in Eval's row-at-a-time short-circuit order;
+// every other shape, an unknown column included, falls back to p.Eval, so
+// an error arises exactly where Eval raises it.
+func bindPred(p Pred, s *Schema) rowTest {
+	switch q := p.(type) {
+	case nil:
+		return func(Row) (bool, error) { return true, nil }
+	case AndPred:
+		ts := bindPreds(q.Ps, s)
+		return func(r Row) (bool, error) {
+			for _, t := range ts {
+				if ok, err := t(r); err != nil || !ok {
+					return false, err
+				}
+			}
+			return true, nil
+		}
+	case OrPred:
+		ts := bindPreds(q.Ps, s)
+		return func(r Row) (bool, error) {
+			for _, t := range ts {
+				if ok, err := t(r); err != nil || ok {
+					return err == nil, err
+				}
+			}
+			return false, nil
+		}
+	case NotPred:
+		t := bindPred(q.P, s)
+		return func(r Row) (bool, error) {
+			ok, err := t(r)
+			return !ok, err
+		}
+	case NullPred:
+		if ci, ok := colPos(q.E, s); ok {
+			neg := q.Negate
+			return func(r Row) (bool, error) { return r[ci].IsNull() != neg, nil }
+		}
+	case InPred:
+		if ci, ok := colPos(q.E, s); ok {
+			list := q.List
+			return func(r Row) (bool, error) {
+				for _, v := range list {
+					if r[ci].Equal(v) {
+						return true, nil
+					}
+				}
+				return false, nil
+			}
+		}
+	case CmpPred:
+		op := q.Op
+		if ci, ok := colPos(q.L, s); ok {
+			if lit, ok := q.R.(LitExpr); ok {
+				return bindCmp(op, ci, lit.V)
+			}
+		} else if lit, ok := q.L.(LitExpr); ok {
+			if ci, ok := colPos(q.R, s); ok {
+				return func(r Row) (bool, error) { return compareValues(op, lit.V, r[ci]) }
+			}
+		}
+	}
+	return func(r Row) (bool, error) { return p.Eval(r, s) }
+}
+
+// bindCmp binds "column ci op lit". An INTEGER or TEXT literal decides a
+// cell of its own kind, or a NULL cell (only <> holds), inline; every other
+// pair goes through compareValues.
+func bindCmp(op CmpOp, ci int, lit Value) rowTest {
+	general := func(r Row) (bool, error) { return compareValues(op, r[ci], lit) }
+	if op > CmpGe {
+		return general
+	}
+	// holds[c+1] is op's verdict on a three-way comparison result c.
+	var holds [3]bool
+	for c := -1; c <= 1; c++ {
+		holds[c+1], _ = compareValues(op, Int(int64(c)), Int(0))
+	}
+	switch lit.kind {
+	case KindInt:
+		y := lit.i
+		return func(r Row) (bool, error) {
+			switch v := &r[ci]; v.kind {
+			case KindInt:
+				return holds[cmp.Compare(v.i, y)+1], nil
+			case KindNull:
+				return op == CmpNe, nil
+			}
+			return general(r)
+		}
+	case KindString:
+		y := lit.s
+		return func(r Row) (bool, error) {
+			switch v := &r[ci]; v.kind {
+			case KindString:
+				if op == CmpEq {
+					return v.s == y, nil
+				}
+				return holds[strings.Compare(v.s, y)+1], nil
+			case KindNull:
+				return op == CmpNe, nil
+			}
+			return general(r)
+		}
+	}
+	return general
+}
+
+func bindPreds(ps []Pred, s *Schema) []rowTest {
+	ts := make([]rowTest, len(ps))
+	for i, p := range ps {
+		ts[i] = bindPred(p, s)
+	}
+	return ts
+}
+
+// colPos resolves e to a position in s when e references a column of s.
+func colPos(e Expr, s *Schema) (int, bool) {
+	c, ok := e.(ColRef)
+	if !ok {
+		return 0, false
+	}
+	i := s.Index(c.Name)
+	return i, i >= 0
 }
 
 // CmpOp enumerates comparison operators.
@@ -77,13 +211,16 @@ func (c CmpPred) Eval(r Row, s *Schema) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	switch c.Op {
+	return compareValues(c.Op, lv, rv)
+}
+
+// compareValues applies op to two evaluated operands with CmpPred's
+// semantics.
+func compareValues(op CmpOp, lv, rv Value) (bool, error) {
+	switch op {
 	case CmpEq:
 		return lv.Equal(rv), nil
 	case CmpNe:
-		if lv.IsNull() || rv.IsNull() {
-			return !lv.Equal(rv), nil
-		}
 		return !lv.Equal(rv), nil
 	}
 	if lv.IsNull() || rv.IsNull() {
@@ -93,7 +230,7 @@ func (c CmpPred) Eval(r Row, s *Schema) (bool, error) {
 		return false, fmt.Errorf("relstore: ordered comparison between %s and %s", lv.Kind(), rv.Kind())
 	}
 	cmp := lv.Compare(rv)
-	switch c.Op {
+	switch op {
 	case CmpLt:
 		return cmp < 0, nil
 	case CmpLe:
@@ -103,7 +240,7 @@ func (c CmpPred) Eval(r Row, s *Schema) (bool, error) {
 	case CmpGe:
 		return cmp >= 0, nil
 	}
-	return false, fmt.Errorf("relstore: unknown comparison op %d", c.Op)
+	return false, fmt.Errorf("relstore: unknown comparison op %d", op)
 }
 
 // SQL implements Pred.
@@ -308,12 +445,9 @@ func (b BoolLit) SQL() string {
 	return "FALSE"
 }
 
-// PredExpr adapts a predicate to a boolean scalar expression; the classifier
-// compiler uses it to materialize boolean study-schema domains.
+// PredExpr adapts a predicate to a boolean scalar expression yielding
+// TRUE/FALSE.
 type PredExpr struct{ P Pred }
-
-// AsExpr adapts a predicate to an expression yielding TRUE/FALSE.
-func AsExpr(p Pred) PredExpr { return PredExpr{P: p} }
 
 // Eval implements Expr.
 func (pe PredExpr) Eval(r Row, s *Schema) (Value, error) {

@@ -10,24 +10,24 @@ package relstore
 // whole rewrite (the caller falls back to evaluating over the decoded view).
 type ExprRewriter func(Expr) (Expr, bool)
 
-// RewriteExpr applies fn bottom-up over an expression tree. fn sees each
+// rewriteExpr applies fn bottom-up over an expression tree. fn sees each
 // node after its children were rewritten.
-func RewriteExpr(e Expr, fn ExprRewriter) (Expr, bool) {
+func rewriteExpr(e Expr, fn ExprRewriter) (Expr, bool) {
 	switch x := e.(type) {
 	case ColRef, LitExpr:
 		return fn(e)
 	case NegExpr:
-		inner, ok := RewriteExpr(x.E, fn)
+		inner, ok := rewriteExpr(x.E, fn)
 		if !ok {
 			return nil, false
 		}
 		return fn(NegExpr{E: inner})
 	case ArithExpr:
-		l, ok := RewriteExpr(x.L, fn)
+		l, ok := rewriteExpr(x.L, fn)
 		if !ok {
 			return nil, false
 		}
-		r, ok := RewriteExpr(x.R, fn)
+		r, ok := rewriteExpr(x.R, fn)
 		if !ok {
 			return nil, false
 		}
@@ -35,7 +35,7 @@ func RewriteExpr(e Expr, fn ExprRewriter) (Expr, bool) {
 	case FuncExpr:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			na, ok := RewriteExpr(a, fn)
+			na, ok := rewriteExpr(a, fn)
 			if !ok {
 				return nil, false
 			}
@@ -55,7 +55,7 @@ func RewriteExpr(e Expr, fn ExprRewriter) (Expr, bool) {
 			if !ok {
 				return nil, false
 			}
-			t, ok := RewriteExpr(b.Then, fn)
+			t, ok := rewriteExpr(b.Then, fn)
 			if !ok {
 				return nil, false
 			}
@@ -64,7 +64,7 @@ func RewriteExpr(e Expr, fn ExprRewriter) (Expr, bool) {
 		var els Expr
 		if x.Else != nil {
 			var ok bool
-			els, ok = RewriteExpr(x.Else, fn)
+			els, ok = rewriteExpr(x.Else, fn)
 			if !ok {
 				return nil, false
 			}
@@ -84,11 +84,11 @@ func RewritePredWith(p Pred, fn ExprRewriter) (Pred, bool) {
 	case BoolLit:
 		return x, true
 	case CmpPred:
-		l, ok := RewriteExpr(x.L, fn)
+		l, ok := rewriteExpr(x.L, fn)
 		if !ok {
 			return nil, false
 		}
-		r, ok := RewriteExpr(x.R, fn)
+		r, ok := rewriteExpr(x.R, fn)
 		if !ok {
 			return nil, false
 		}
@@ -120,19 +120,19 @@ func RewritePredWith(p Pred, fn ExprRewriter) (Pred, bool) {
 		}
 		return NotPred{P: inner}, true
 	case NullPred:
-		e, ok := RewriteExpr(x.E, fn)
+		e, ok := rewriteExpr(x.E, fn)
 		if !ok {
 			return nil, false
 		}
 		return NullPred{E: e, Negate: x.Negate}, true
 	case InPred:
-		e, ok := RewriteExpr(x.E, fn)
+		e, ok := rewriteExpr(x.E, fn)
 		if !ok {
 			return nil, false
 		}
 		return InPred{E: e, List: x.List}, true
 	case ExprPred:
-		e, ok := RewriteExpr(x.E, fn)
+		e, ok := rewriteExpr(x.E, fn)
 		if !ok {
 			return nil, false
 		}

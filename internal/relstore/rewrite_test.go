@@ -27,15 +27,15 @@ func TestRewriteExprCoversAllShapes(t *testing.T) {
 		Lit(Int(1)),
 		Neg(Col("zz")),
 		Arith(OpAdd, Col("zz"), Lit(Int(2))),
-		Call("ABS", Col("zz")),
-		AsExpr(Eq("zz", Int(3))),
+		call("ABS", Col("zz")),
+		PredExpr{P: Eq("zz", Int(3))},
 		CaseExpr{
 			Branches: []CaseBranch{{When: Eq("zz", Int(1)), Then: Col("zz")}},
 			Else:     Arith(OpMul, Col("zz"), Lit(Int(2))),
 		},
 	}
 	for _, e := range exprs {
-		out, ok := RewriteExpr(e, renamer)
+		out, ok := rewriteExpr(e, renamer)
 		if !ok {
 			t.Fatalf("%s: rewrite aborted", e.SQL())
 		}
@@ -43,14 +43,14 @@ func TestRewriteExprCoversAllShapes(t *testing.T) {
 			t.Errorf("%s: A not renamed: %s", e.SQL(), out.SQL())
 		}
 		if strings.Contains(e.SQL(), "zz") {
-			if _, ok := RewriteExpr(e, aborter); ok {
+			if _, ok := rewriteExpr(e, aborter); ok {
 				t.Errorf("%s: aborter must abort", e.SQL())
 			}
 		}
 	}
 	// CASE rewrite renames inside WHEN, THEN, and ELSE.
 	ce := exprs[6]
-	out, _ := RewriteExpr(ce, renamer)
+	out, _ := rewriteExpr(ce, renamer)
 	sql := out.SQL()
 	if strings.Count(sql, "qq") != 3 {
 		t.Errorf("CASE rewrite: %s", sql)

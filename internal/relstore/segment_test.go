@@ -3,10 +3,7 @@ package relstore
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -76,150 +73,5 @@ func TestSegmentedChecksumDetectsCorruption(t *testing.T) {
 	// Truncated tail: a missing block is an error, not silent data loss.
 	if _, err := ReadTyped(bytes.NewReader(raw[:len(raw)-5])); err == nil {
 		t.Fatal("truncated segment file read without error")
-	}
-}
-
-func writeSegFile(t *testing.T, in *Rows, segRows int) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "rel.rel")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTypedSegmented(f, in, segRows); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestSegmentSetScanUnderBudget(t *testing.T) {
-	in := randRelation(rand.New(rand.NewSource(61)), 500)
-	path := writeSegFile(t, in, 25) // 20 segments
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget roughly a tenth of the file: most segments must be evicted
-	// along the way, yet the scan sees every row in order.
-	set, err := OpenSegments(path, fi.Size()/10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	if set.Len() != in.Len() || set.NumSegments() != 20 {
-		t.Fatalf("Len=%d NumSegments=%d, want %d/20", set.Len(), set.NumSegments(), in.Len())
-	}
-	got, err := set.Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := strictRowsEq(got, in); err != nil {
-		t.Fatalf("budgeted scan: %v", err)
-	}
-	segs, bytes := set.Resident()
-	if bytes > fi.Size()/10 && segs > 1 {
-		t.Fatalf("resident %d bytes exceeds budget %d across %d segments", bytes, fi.Size()/10, segs)
-	}
-	if segs >= 20 {
-		t.Fatalf("no eviction happened: %d segments resident", segs)
-	}
-	// Per-segment materialization matches slices of the source.
-	s0, err := set.Segment(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := strictRowsEq(s0, &Rows{Schema: in.Schema, Data: in.Data[:25]}); err != nil {
-		t.Fatalf("segment 0: %v", err)
-	}
-	// Early-exit scan.
-	count := 0
-	if err := set.Scan(func(Row) bool { count++; return count < 30 }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 30 {
-		t.Fatalf("early-exit scan saw %d rows", count)
-	}
-}
-
-func TestSegmentSetSelectMatchesInMemory(t *testing.T) {
-	r := rand.New(rand.NewSource(67))
-	in := randRelation(r, 300)
-	path := writeSegFile(t, in, 16)
-	set, err := OpenSegments(path, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	for trial := 0; trial < 15; trial++ {
-		pred := randPred(r, 2)
-		want, errW := Select(in, pred)
-		got, errG := set.Select(pred)
-		if (errW == nil) != (errG == nil) {
-			t.Fatalf("trial %d: in-memory err=%v, segment err=%v", trial, errW, errG)
-		}
-		if errW != nil {
-			continue
-		}
-		if err := strictRowsEq(got, want); err != nil {
-			t.Fatalf("trial %d pred %s: %v", trial, pred.SQL(), err)
-		}
-	}
-}
-
-func TestSegmentSetConcurrentScans(t *testing.T) {
-	in := randRelation(rand.New(rand.NewSource(71)), 400)
-	path := writeSegFile(t, in, 20)
-	set, err := OpenSegments(path, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows, err := set.Rows()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := strictRowsEq(rows, in); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestOpenSegmentsRejectsV1(t *testing.T) {
-	in := randRelation(rand.New(rand.NewSource(73)), 10)
-	path := filepath.Join(t.TempDir(), "v1.rel")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTyped(f, in); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := OpenSegments(path, 0); err == nil {
-		t.Fatal("OpenSegments accepted a v1 file")
-	}
-	// But ReadTyped still reads it.
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	back, err := ReadTyped(rf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := strictRowsEq(back, in); err != nil {
-		t.Fatal(err)
 	}
 }

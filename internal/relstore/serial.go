@@ -53,8 +53,8 @@ func kindFromString(s string) (Kind, error) {
 	return KindNull, fmt.Errorf("relstore: unknown column type %q", s)
 }
 
-// MarshalSchemaJSON renders a schema as one JSON line (no trailing newline).
-func MarshalSchemaJSON(s *Schema) ([]byte, error) {
+// marshalSchemaJSON renders a schema as one JSON line (no trailing newline).
+func marshalSchemaJSON(s *Schema) ([]byte, error) {
 	cols := make([]serialColumn, len(s.Columns))
 	for i, c := range s.Columns {
 		cols[i] = serialColumn{Name: c.Name, Type: c.Type.String(), NotNull: c.NotNull}
@@ -62,7 +62,7 @@ func MarshalSchemaJSON(s *Schema) ([]byte, error) {
 	return json.Marshal(cols)
 }
 
-// UnmarshalSchemaJSON parses a schema line written by MarshalSchemaJSON.
+// UnmarshalSchemaJSON parses a schema line written by marshalSchemaJSON.
 func UnmarshalSchemaJSON(b []byte) (*Schema, error) {
 	var cols []serialColumn
 	if err := json.Unmarshal(b, &cols); err != nil {
@@ -197,7 +197,7 @@ func UnmarshalRowJSON(b []byte) (Row, error) {
 // then one row line per tuple. Every row line is encoded into one reused
 // buffer.
 func WriteTyped(w io.Writer, rows *Rows) error {
-	sl, err := MarshalSchemaJSON(rows.Schema)
+	sl, err := marshalSchemaJSON(rows.Schema)
 	if err != nil {
 		return err
 	}

@@ -143,9 +143,10 @@ func (t *Table) InsertMap(m map[string]Value) error {
 func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	test := bindPred(pred, t.schema)
 	n := 0
 	for i, r := range t.rows {
-		ok, err := evalPred(pred, r, t.schema)
+		ok, err := test(r)
 		if err != nil {
 			return n, err
 		}
@@ -181,26 +182,8 @@ func (t *Table) Delete(pred Pred) (int, error) {
 	defer t.mu.Unlock()
 
 	var doomed []int
-	if positions, ok := t.probeLocked(pred); ok {
-		for _, p := range positions {
-			ok, err := evalPred(pred, t.rows[p], t.schema)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				doomed = append(doomed, p)
-			}
-		}
-	} else {
-		for p, r := range t.rows {
-			ok, err := evalPred(pred, r, t.schema)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				doomed = append(doomed, p)
-			}
-		}
+	if _, err := t.matchLocked(pred, func(p int) { doomed = append(doomed, p) }); err != nil {
+		return 0, err
 	}
 	if len(doomed) == 0 {
 		return 0, nil
@@ -378,50 +361,69 @@ func (t *Table) Select(pred Pred) (*Rows, error) {
 // storage order, in a fresh slice, so a page costs one predicate pass plus
 // its own length however many rows match. The rows must not be written into
 // (see Table). Candidates come from a hash-index probe when the predicate
-// has an indexable equality or IN conjunct, and from the columnar scan
-// kernel otherwise (chunk-parallel mask, then an ordered gather) — serve's
-// extract filters arrive here as Preds, not post-hoc row filters. Negative
-// offsets and limits count as zero.
+// has an indexable equality or IN conjunct, and from a full scan otherwise;
+// the predicate is bound to the schema once and tests each candidate
+// (matchLocked) — serve's extract filters arrive here as Preds, not
+// post-hoc row filters. Negative offsets and limits count as zero.
 func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int, err error) {
 	offset, limit = max(offset, 0), max(limit, 0)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []Row
-	take := func(p int) {
-		if total >= offset && total-offset < limit {
-			out = append(out, t.rows[p])
-		}
-		total++
-	}
 	if pred == nil {
 		total = len(t.rows)
 		lo := min(offset, total)
 		hi := lo + min(limit, total-lo)
 		out = slices.Clone(t.rows[lo:hi])
-	} else if positions, ok := t.probeLocked(pred); ok {
-		out = make([]Row, 0, min(limit, len(positions)))
-		for _, p := range positions {
-			keep, err := evalPred(pred, t.rows[p], t.schema)
-			if err != nil {
-				return nil, 0, err
-			}
-			if keep {
-				take(p)
-			}
-		}
 	} else {
-		mask, err := predMask(pred, &Rows{Schema: t.schema, Data: t.rows})
+		probed, err := t.matchLocked(pred, func(p int) {
+			if total >= offset && total-offset < limit {
+				out = append(out, t.rows[p])
+			}
+			total++
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		for p, keep := range mask {
-			if keep {
-				take(p)
-			}
+		if !probed {
+			mBatchRows.Add(int64(len(t.rows)))
 		}
 	}
 	t.check.verifyAll(t.name, out)
 	return &Rows{Schema: t.schema, Data: out}, total, nil
+}
+
+// matchLocked calls fn, in storage order, with the position of every row
+// that satisfies pred (non-nil), and stops at the first predicate error.
+// The rows tested are the candidates of a hash-index probe when pred has an
+// indexable conjunct (probed reports it) and every row otherwise, each
+// tested by pred bound to the schema once for the call. Callers must hold
+// t.mu.
+func (t *Table) matchLocked(pred Pred, fn func(p int)) (probed bool, err error) {
+	test := bindPred(pred, t.schema)
+	positions, probed := t.probeLocked(pred)
+	if !probed {
+		for p, r := range t.rows {
+			ok, err := test(r)
+			if err != nil {
+				return false, err
+			}
+			if ok {
+				fn(p)
+			}
+		}
+		return false, nil
+	}
+	for _, p := range positions {
+		ok, err := test(t.rows[p])
+		if err != nil {
+			return true, err
+		}
+		if ok {
+			fn(p)
+		}
+	}
+	return true, nil
 }
 
 // probeLocked returns the candidate storage positions, ascending, that a

@@ -69,9 +69,6 @@ type Config struct {
 	// FS is the filesystem the generation store writes through; nil uses
 	// the real one. Tests and the R9 harness thread a faulty.FS here.
 	FS etl.FS
-	// SegmentRows is rows-per-segment for persisted generation tables
-	// (<= 0 uses relstore.DefaultSegmentRows).
-	SegmentRows int
 	// MaxPerStudy bounds concurrently admitted cache-miss extracts per
 	// study (0 disables the per-study admission tier).
 	MaxPerStudy int
@@ -283,7 +280,7 @@ func (s *Server) register(spec *etl.StudySpec) (*servedStudy, error) {
 	}
 	if s.cfg.WarehouseDir != "" {
 		st.store = newGenStore(s.cfg.FS, filepath.Join(s.cfg.WarehouseDir, spec.Name),
-			s.cfg.SegmentRows, s.metrics, s.cfg.Logf)
+			relstore.DefaultSegmentRows, s.metrics, s.cfg.Logf)
 		s.recoverStudy(st)
 	}
 
