@@ -44,7 +44,8 @@
 // -rps for -load-duration while contributors churn and refreshes race the
 // reads. -min-rps and -max-p99 gate goodput and tail latency; any hard
 // error or stale read (a generation stamp going backwards) fails the run
-// unconditionally.
+// unconditionally, and so does a scheduled fault that never fired — a
+// storage layout change must not leave the schedule testing nothing.
 //
 // R10 measures the free-text extraction layer: the strict extraction
 // rate in reports/s over the Notes corpus, the diverting read's overhead
@@ -106,7 +107,7 @@ func main() {
 	minDeltaSpeedup := flag.Float64("min-delta-speedup", 0, "fail if R6 delta-vs-full speedup at the largest scale falls below this factor (0 = report only)")
 	rps := flag.Float64("rps", 300, "offered open-loop arrival rate (R9)")
 	loadDur := flag.Duration("load-duration", 3*time.Second, "how long the open-loop driver offers load (R9)")
-	fsFaults := flag.String("fs-faults", "torn_rename:MANIFEST@2,short_write:table.rel@4,drop_sync@6", "storage fault schedule for the warehouse filesystem, kind[:pathsub][@after][~delay],... (R9)")
+	fsFaults := flag.String("fs-faults", "torn_rename:MANIFEST@1,short_write:table.rel@2,drop_sync@6,short_write:patch-@3", "storage fault schedule for the warehouse filesystem, kind[:pathsub][@after][~delay],... (R9)")
 	minRPS := flag.Float64("min-rps", 0, "fail if R9 goodput falls below this rate (0 = report only)")
 	maxP99 := flag.Duration("max-p99", 0, "fail if R9 extract p99 exceeds this duration (0 = report only)")
 	minExtractRPS := flag.Float64("min-extract-rps", 0, "fail if R10 strict text extraction falls below this rate in reports/s (0 = report only)")

@@ -23,12 +23,13 @@ import (
 // expR9: robustness under storage faults and offered load. An in-process
 // studyd serves from a crash-consistent warehouse whose filesystem runs a
 // fault schedule (torn renames, short writes, dropped fsyncs, ...), while a
-// churn goroutine keeps mutating contributors and forcing refreshes. The
-// open-loop driver offers Poisson arrivals at -rps for -load-duration and
-// verifies the robustness contract end to end: zero hard errors, zero
-// stale reads (generation stamps never go backwards), shed load bounded to
-// the 429/503 path with Retry-After honored, and p99 under -max-p99 while
-// goodput stays above -min-rps.
+// churn goroutine keeps mutating contributors and forcing refreshes, which
+// persist as full bases and as patch records over them. The open-loop
+// driver offers Poisson arrivals at -rps for -load-duration and verifies
+// the robustness contract end to end: zero hard errors, zero stale reads
+// (generation stamps never go backwards), shed load bounded to the 429/503
+// path with Retry-After honored, p99 under -max-p99 while goodput stays
+// above -min-rps, and every scheduled fault fired.
 func expR9(seed int64, n int, rps float64, dur time.Duration, faultSpec string, minRPS float64, maxP99 time.Duration) {
 	fmt.Printf("== R9: fault-schedule load (rps=%.0f, duration=%s, faults=%q, %d records x 3 contributors) ==\n",
 		rps, dur, faultSpec, n)
@@ -150,10 +151,10 @@ func expR9(seed int64, n int, rps float64, dur time.Duration, faultSpec string, 
 		"requests", stats.Offered, stats.Requests, stats.Dropped, stats.Shed, stats.Errors, stats.StaleReads)
 	fmt.Printf("latency p50 %s  p99 %s  hit %.1f%%  shed rate %.1f%%  retries %d\n",
 		stats.P50(), stats.P99(), stats.HitRatio()*100, stats.ShedRate()*100, stats.Retries)
-	fmt.Printf("churn: %d refreshes (%d failed), %d generations swapped, %d persisted (%d persist errors)\n",
+	fmt.Printf("churn: %d refreshes (%d failed), %d generations swapped, %d persisted (%d as records, %d persist errors)\n",
 		refreshes, refreshFails,
 		m.Counter("serve.snapshot.swaps").Value(), m.Counter("serve.snapshot.persist").Value(),
-		m.Counter("serve.snapshot.persist.errors").Value())
+		m.Counter("serve.snapshot.records").Value(), m.Counter("serve.snapshot.persist.errors").Value())
 	fmt.Printf("storage faults injected: %d %v\n", ffs.InjectedTotal(), ffs.Injected())
 	fmt.Printf("goodput: %.0f req/s\n", goodput)
 
@@ -162,6 +163,9 @@ func expR9(seed int64, n int, rps float64, dur time.Duration, faultSpec string, 
 	}
 	if stats.StaleReads > 0 {
 		fail(fmt.Errorf("R9: %d stale reads — a generation stamp went backwards", stats.StaleReads))
+	}
+	if fired := ffs.InjectedTotal(); fired < len(faults) {
+		fail(fmt.Errorf("R9: only %d of %d scheduled storage faults fired — the schedule no longer matches what the store writes", fired, len(faults)))
 	}
 	if minRPS > 0 && goodput < minRPS {
 		fail(fmt.Errorf("R9: goodput %.0f req/s below the %.0f gate", goodput, minRPS))

@@ -26,9 +26,11 @@
 //	       [-trace-out spans.jsonl] [-with-text]
 //
 // With -warehouse-dir, every data-changing refresh is persisted as an
-// immutable generation (segment file + checksummed MANIFEST); a restart —
-// clean or SIGKILL — recovers the newest complete generation and serves it
-// without re-running any study plan, discarding torn ones. -fs-faults runs
+// immutable generation: a full base (segment file + checksummed MANIFEST)
+// or, while the previous generation is durable, a small checksummed patch
+// record over its base; a restart — clean or SIGKILL — recovers the newest
+// complete generation, replaying its records, and serves it without
+// re-running any study plan, discarding torn ones. -fs-faults runs
 // the warehouse writes through the storage fault injector so crash drills
 // can tear them on purpose.
 package main

@@ -57,7 +57,7 @@ func MergeForTest(table *relstore.Table, fresh *relstore.Rows, keep ...string) (
 		if skip[name] {
 			continue
 		}
-		stats, err := patch(table, name, byContributor[name], nil)
+		stats, err := patch(table, name, byContributor[name], nil, &RefreshReport{})
 		if err != nil {
 			return total, err
 		}

@@ -104,6 +104,19 @@ func contributorRows(t *testing.T, table *relstore.Table, contributor string) []
 	return rows.Data
 }
 
+// removedGroups names the (EntityKey, Contributor) groups of a report's
+// Removed rows, once each.
+func removedGroups(removed []relstore.Row) []relstore.Row {
+	var groups []relstore.Row
+	for _, row := range removed {
+		g := relstore.Row{row[0], row[1]}
+		if n := len(groups); n == 0 || lineOf(groups[n-1]) != lineOf(g) {
+			groups = append(groups, g)
+		}
+	}
+	return groups
+}
+
 func TestPatchExact(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	contributors := []string{"A", "B", "C"}
@@ -205,12 +218,34 @@ func TestPatchExact(t *testing.T) {
 			others[c] = lines(contributorRows(t, table, c))
 		}
 
-		stats, err := patch(table, "B", slices.Clone(fresh), keys)
+		before := table.Clone()
+		report := &RefreshReport{}
+		stats, err := patch(table, "B", slices.Clone(fresh), keys, report)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats != ref {
 			t.Fatalf("trial %d: stats %+v, want %+v", trial, stats, ref)
+		}
+		// The report holds the patch: replayed over the table the patch
+		// started from, its groups and rows leave the same rows.
+		var wantRemoved []relstore.Row
+		for k, g := range oldGroups {
+			if ng, ok := freshGroups[k]; inScope(k) && (!ok || !slices.Equal(lines(g), lines(ng))) {
+				wantRemoved = append(wantRemoved, g...)
+			}
+		}
+		if got, want := lines(report.Removed), lines(wantRemoved); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: report removed\n%v\nwant\n%v", trial, got, want)
+		}
+		if len(report.Inserted) != stats.Added+stats.Updated {
+			t.Fatalf("trial %d: report inserted %d rows, stats %+v", trial, len(report.Inserted), stats)
+		}
+		if err := ApplyPatch(before, removedGroups(report.Removed), report.Inserted); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := lines(before.Rows().Data), lines(table.Rows().Data); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: replayed patch holds\n%v\nthe patched table\n%v", trial, got, want)
 		}
 		if got := lines(contributorRows(t, table, "B")); !slices.Equal(got, lines(want)) {
 			t.Fatalf("trial %d: B holds\n%v\nwant\n%v", trial, got, lines(want))
@@ -220,7 +255,7 @@ func TestPatchExact(t *testing.T) {
 				t.Fatalf("trial %d: patching B changed %s", trial, c)
 			}
 		}
-		again, err := patch(table, "B", fresh, keys)
+		again, err := patch(table, "B", fresh, keys, &RefreshReport{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,6 +110,13 @@ type RefreshReport struct {
 	// Run is the workflow's report: per-step fates, quarantined rows,
 	// degraded contributors. Nil when a delta found no changed key.
 	Run *RunReport
+	// Removed and Inserted are the patch itself, for full and delta alike:
+	// every warehouse row of each (EntityKey, Contributor) group the
+	// refresh replaced or removed, contributor by contributor in rowOrder,
+	// and every row it inserted. They are stored rows and must not be
+	// written into (see relstore.Table). ApplyPatch replays them.
+	Removed  []relstore.Row
+	Inserted []relstore.Row
 }
 
 // Refresh runs the study under opts.Policy and patches its output into the
@@ -188,7 +195,7 @@ func (c *Compiled) Refresh(ctx context.Context, warehouse *relstore.DB, opts Ref
 				return nil, err
 			}
 			_, pspan := obs.StartSpan(ctx, "patch "+ct.Name)
-			stats, err := patch(table, ct.Name, fresh[ct.Name], keys)
+			stats, err := patch(table, ct.Name, fresh[ct.Name], keys, report)
 			pspan.SetAttr(obs.Int("added", int64(stats.Added)), obs.Int("updated", int64(stats.Updated)),
 				obs.Int("unchanged", int64(stats.Unchanged)), obs.Int("removed", int64(stats.Removed)))
 			pspan.EndErr(err)
@@ -294,8 +301,9 @@ func callHook(hook func(contributor string) error, contributor string) error {
 // the run no longer produced (the entity was deprecated, or fell out of the
 // selection) are removed, keeping the warehouse convergent with a
 // from-scratch build. Every removal lands in one Delete and every new row
-// in one InsertAll, which takes the rows over. fresh is reordered in place.
-func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys []relstore.Value) (RefreshStats, error) {
+// in one InsertAll, which takes the rows over; both are appended to the
+// report's Removed and Inserted. fresh is reordered in place.
+func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys []relstore.Value, report *RefreshReport) (RefreshStats, error) {
 	contrib := relstore.Str(contributor)
 	var scope relstore.Pred = relstore.Eq(ContributorColumn, contrib)
 	if keys != nil {
@@ -329,6 +337,7 @@ func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys
 		case c < 0:
 			n := groupLen(old[i:])
 			doomed = append(doomed, old[i][0])
+			report.Removed = append(report.Removed, old[i:i+n]...)
 			stats.Removed += n
 			i += n
 		case c > 0:
@@ -342,24 +351,70 @@ func patch(table *relstore.Table, contributor string, fresh []relstore.Row, keys
 				stats.Unchanged += len(group)
 			} else {
 				doomed = append(doomed, old[i][0])
+				report.Removed = append(report.Removed, prev...)
 				toInsert = append(toInsert, group...)
 				stats.Updated += len(group)
 			}
 			i, j = i+len(prev), j+len(group)
 		}
 	}
-	if len(doomed) > 0 {
-		if _, err := table.Delete(relstore.And(relstore.In(relstore.Col(EntityKeyColumn), doomed...),
-			relstore.Eq(ContributorColumn, contrib))); err != nil {
-			return stats, err
-		}
+	if err := deleteGroups(table, contrib, doomed); err != nil {
+		return stats, err
 	}
 	if len(toInsert) > 0 {
 		if err := table.InsertAll(toInsert); err != nil {
 			return stats, err
 		}
+		report.Inserted = append(report.Inserted, toInsert...)
 	}
 	return stats, nil
+}
+
+// deleteGroups removes one contributor's entity groups — every row whose
+// EntityKey is in keys — in one Delete.
+func deleteGroups(table *relstore.Table, contributor relstore.Value, keys []relstore.Value) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	_, err := table.Delete(relstore.And(relstore.In(relstore.Col(EntityKeyColumn), keys...),
+		relstore.Eq(ContributorColumn, contributor)))
+	return err
+}
+
+// ApplyPatch replays a refresh's patch on table: it deletes each
+// (EntityKey, Contributor) group that groups names, as 2-cell rows, with
+// one Delete per contributor, and then inserts rows in one InsertAll,
+// which takes them over — the writes patch makes. Replaying the groups of
+// a RefreshReport's Removed rows and its Inserted rows over the table the
+// refresh patched leaves the rows the refresh left. A malformed group or
+// an invalid row fails the call before the table changes.
+func ApplyPatch(table *relstore.Table, groups, rows []relstore.Row) error {
+	for _, r := range rows {
+		if err := table.Schema().Validate(r); err != nil {
+			return fmt.Errorf("etl: patch row: %w", err)
+		}
+	}
+	var contributors []relstore.Value
+	keys := map[string][]relstore.Value{}
+	for _, g := range groups {
+		if len(g) != 2 {
+			return fmt.Errorf("etl: patch group has %d cells, want EntityKey and Contributor", len(g))
+		}
+		k := g[1].Key()
+		if _, ok := keys[k]; !ok {
+			contributors = append(contributors, g[1])
+		}
+		keys[k] = append(keys[k], g[0])
+	}
+	for _, c := range contributors {
+		if err := deleteGroups(table, c, keys[c.Key()]); err != nil {
+			return err
+		}
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	return table.InsertAll(rows)
 }
 
 // groupLen is the length of the entity group rows opens with: the run of

@@ -67,3 +67,42 @@ func BenchmarkDeleteSmallFromLarge(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOrderAfterPatch is the per-generation reorder of a delta tick:
+// delete 8 keyed rows from an ordered table, append 8 fresh ones, and
+// Order by every column again. Only the Order is timed. It compares the
+// appended rows, not the table: its cost should stay near-flat as the
+// table grows 20x, with no O(rows) allocation.
+func BenchmarkOrderAfterPatch(b *testing.B) {
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			t := keyedBenchTable(b, n)
+			cols := t.Schema().Names()
+			if err := t.Order(cols...); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				keys := make([]Value, 8)
+				fresh := make([]Row, 8)
+				for j := range keys {
+					k := fmt.Sprintf("k%05d", (i*8+j*(n/8))%n)
+					keys[j] = Str(k)
+					fresh[j] = Row{Str(k), Str(fmt.Sprintf("c%d", j%3)), Int(int64(i))}
+				}
+				if _, err := t.Delete(In(Col("EntityKey"), keys...)); err != nil {
+					b.Fatal(err)
+				}
+				if err := t.InsertAll(fresh); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := t.Order(cols...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -41,6 +41,12 @@ type Table struct {
 	pos     []int                 // row ID -> current position, -1 once deleted
 	freeIDs []int                 // deleted IDs available for reuse
 	indexes map[string]*hashIndex // column name -> index
+	// ordCols are the column positions of the last Order, and ordLen is the
+	// length of the storage prefix still in that order: Delete shortens it
+	// by the rows it drops from it, Insert and InsertAll append past it,
+	// and Update and Truncate reset it.
+	ordCols []int
+	ordLen  int
 }
 
 type hashIndex struct {
@@ -164,6 +170,7 @@ func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 		n++
 	}
 	if n > 0 {
+		t.ordCols, t.ordLen = nil, 0
 		t.rebuildIndexesLocked()
 	}
 	return n, nil
@@ -218,7 +225,9 @@ func (t *Table) Delete(pred Pred) (int, error) {
 
 	// Compact rows and ids in place — entries before the first hole stay
 	// put, the rest slide left — and point the surviving IDs at their new
-	// positions. Pure integer work, no allocation, no re-hashing.
+	// positions. Pure integer work, no allocation, no re-hashing. Dropping
+	// rows keeps order, so the ordered prefix only loses its own doomed rows.
+	t.ordLen -= sort.SearchInts(doomed, t.ordLen)
 	w := doomed[0]
 	di := 0
 	for p := doomed[0]; p < len(t.rows); p++ {
@@ -247,6 +256,7 @@ func (t *Table) Truncate() {
 	t.ids = nil
 	t.pos = nil
 	t.freeIDs = nil
+	t.ordCols, t.ordLen = nil, 0
 	t.check = rowCheck{}
 	t.rebuildIndexesLocked()
 }
@@ -509,10 +519,16 @@ func (t *Table) indexedLiteralsLocked(p Pred, in bool) (*hashIndex, []Value) {
 // Order stably reorders the stored rows ascending by the named columns — the
 // order SortBy over a full scan would give — so every later scan, Select
 // and SelectPage yields rows in that order. Only rows, ids and pos change:
-// index buckets hold stable row IDs and are not re-hashed. A table that
-// since its last Order has only deleted rows (which keeps order) and
-// appended k rows pays O(n + k log k): the longest ordered prefix stays put
-// and the sorted tail is merged into it.
+// index buckets hold stable row IDs and are not re-hashed.
+//
+// The table remembers the columns of its last Order and how much of storage
+// is still in that order: deletes keep the order, and inserts append past
+// it. An Order by the same columns therefore takes that prefix as given;
+// any other Order finds the longest ordered prefix by scanning, O(n)
+// comparisons. Either way only the k rows after the prefix are sorted,
+// stably, and merged into it in place — a binary search per row, ties
+// going to the prefix, then one pass of row moves and position fix-ups —
+// so a repeated Order costs O(k log n) comparisons and no O(n) allocation.
 func (t *Table) Order(cols ...string) error {
 	idx := make([]int, len(cols))
 	for i, c := range cols {
@@ -523,9 +539,9 @@ func (t *Table) Order(cols ...string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.check.verifyAll(t.name, t.rows)
-	cmp := func(a, b int) int {
+	cmpRows := func(a, b Row) int {
 		for _, k := range idx {
-			if c := t.rows[a][k].Compare(t.rows[b][k]); c != 0 {
+			if c := a[k].Compare(b[k]); c != 0 {
 				return c
 			}
 		}
@@ -533,33 +549,41 @@ func (t *Table) Order(cols ...string) error {
 	}
 	n := len(t.rows)
 	p := 1
-	for p < n && cmp(p-1, p) <= 0 {
-		p++
+	if slices.Equal(idx, t.ordCols) {
+		p = t.ordLen
+	} else {
+		for p < n && cmpRows(t.rows[p-1], t.rows[p]) <= 0 {
+			p++
+		}
 	}
+	t.ordCols, t.ordLen = idx, n
 	if p >= n {
 		return nil
 	}
-	tail := make([]int, 0, n-p)
-	for q := p; q < n; q++ {
-		tail = append(tail, q)
+	// Sort the tail aside, then merge it into the prefix from the back:
+	// each tail row goes after every prefix row it does not sort before,
+	// and the prefix rows past it slide right once.
+	tail := make([]int, n-p)
+	for i := range tail {
+		tail[i] = p + i
 	}
-	slices.SortStableFunc(tail, cmp)
-	rows := make([]Row, 0, n)
-	ids := make([]int, 0, n)
-	for i, j := 0, 0; i < p || j < len(tail); {
-		// Ties go to the prefix: its rows came first in storage order.
-		q := 0
-		if j == len(tail) || (i < p && cmp(i, tail[j]) <= 0) {
-			q, i = i, i+1
-		} else {
-			q, j = tail[j], j+1
+	slices.SortStableFunc(tail, func(a, b int) int { return cmpRows(t.rows[a], t.rows[b]) })
+	rows := make([]Row, len(tail))
+	ids := make([]int, len(tail))
+	for i, q := range tail {
+		rows[i], ids[i] = t.rows[q], t.ids[q]
+	}
+	hi := p // prefix rows [0, hi) are not yet placed
+	for j := len(rows) - 1; j >= 0; j-- {
+		at := sort.Search(hi, func(i int) bool { return cmpRows(t.rows[i], rows[j]) > 0 })
+		copy(t.rows[at+j+1:hi+j+1], t.rows[at:hi])
+		copy(t.ids[at+j+1:hi+j+1], t.ids[at:hi])
+		for q := at + j + 1; q <= hi+j; q++ {
+			t.pos[t.ids[q]] = q
 		}
-		rows = append(rows, t.rows[q])
-		ids = append(ids, t.ids[q])
-	}
-	t.rows, t.ids = rows, ids
-	for q, id := range ids {
-		t.pos[id] = q
+		t.rows[at+j], t.ids[at+j] = rows[j], ids[j]
+		t.pos[ids[j]] = at + j
+		hi = at
 	}
 	return nil
 }
@@ -568,8 +592,9 @@ func (t *Table) Order(cols ...string) error {
 // copy gets its own rows slice holding the same Row values — stored rows
 // are immutable (see Table), so sharing them is safe, and a later Insert,
 // Update, Delete, Order or Truncate on either table never shows in the
-// other. Row IDs, positions and index buckets are carried over as they
-// are, with no re-validation and no re-hashing.
+// other. Row IDs, positions, index buckets and the ordered prefix Order
+// remembers are carried over as they are, with no re-validation and no
+// re-hashing.
 func (t *Table) Clone() *Table {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -582,6 +607,8 @@ func (t *Table) Clone() *Table {
 		pos:     slices.Clone(t.pos),
 		freeIDs: slices.Clone(t.freeIDs),
 		indexes: make(map[string]*hashIndex, len(t.indexes)),
+		ordCols: t.ordCols,
+		ordLen:  t.ordLen,
 		check:   t.check.clone(),
 	}
 	for col, idx := range t.indexes {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"guava/internal/etl"
@@ -18,9 +17,10 @@ import (
 //
 // Pinning is a refcount, but not the kind that protects memory — Go's GC
 // does that for free. Pins protect the generation's on-disk directory:
-// GC of retired generations only deletes a gen-<N> dir once no request is
-// pinned to it and a newer persisted generation exists, so the last
-// complete generation on disk is always one a crashed process can recover.
+// GC of retired generations only deletes a gen-<B> dir once no request is
+// pinned to a generation persisted in it and the current generation is
+// persisted elsewhere, so the last complete generation on disk is always
+// one a crashed process can recover.
 type generation struct {
 	// num counts data-changing refreshes; extract results are stamped with
 	// it, so a no-op refresh (which republishes under the same num)
@@ -39,15 +39,19 @@ type generation struct {
 	cursors *etl.DeltaCursors
 	// stats is the merge report of the refresh that built this generation.
 	stats etl.RefreshStats
-	// dir is the on-disk generation directory ("" when not persisted). A
-	// no-op republish inherits the previous generation's dir — same data,
-	// same num, still recoverable.
-	dir string
+	// onDisk is where the generation is durable: its base directory (dir,
+	// "" when not persisted), shared with the generations persisted as
+	// records over the same base. A no-op republish inherits the previous
+	// generation's — same data, same num, still recoverable.
+	onDisk
+	// digest is the rowDigest of table's rows whenever the generation is
+	// durable: a base computes it from the table, a record moves its
+	// predecessor's by the patch, and a no-op republish inherits it.
+	digest rowDigest
 
 	owner   *servedStudy
 	pins    atomic.Int64
 	retired atomic.Bool
-	cleanup sync.Once
 }
 
 // genFor picks the cache stamp for an extract: the partition generation
@@ -91,8 +95,8 @@ func (g *generation) unpin() {
 }
 
 func (g *generation) unpinQuiet() {
-	if g.pins.Add(-1) == 0 && g.retired.Load() {
-		g.collect()
+	if g.pins.Add(-1) == 0 && g.retired.Load() && g.owner != nil {
+		g.owner.collect()
 	}
 }
 
@@ -105,26 +109,52 @@ func (s *Server) publish(st *servedStudy, g *generation) {
 	s.metrics().Counter("serve.snapshot.swaps").Inc()
 	if old != nil && old != g {
 		old.retired.Store(true)
-		if old.pins.Load() == 0 {
-			old.collect()
+		if old.dir != "" {
+			st.gcMu.Lock()
+			st.retiredGens = append(st.retiredGens, old)
+			st.gcMu.Unlock()
 		}
 	}
+	st.collect()
 }
 
-// collect deletes a retired generation's on-disk directory, once, and only
-// when recovery no longer needs it: the current generation must be a
-// *different*, *persisted* snapshot. If the latest refresh failed to
-// persist, the previous dir stays — it is still the last complete
-// generation a restart can serve.
-func (g *generation) collect() {
-	g.cleanup.Do(func() {
-		if g.dir == "" || g.owner == nil || g.owner.store == nil {
-			return
+// collect deletes the directories of retired generations that recovery no
+// longer needs, and forgets the generations it is done with. A directory
+// goes once the current generation is persisted in another one and no pin
+// holds a retired generation persisted in it. While the current generation
+// is not persisted — its persist failed — nothing goes: the newest retired
+// directory is still the last complete state a restart can serve, and the
+// next successful persist sweeps the rest. It runs after every publish and
+// on the last unpin of a retired generation.
+func (st *servedStudy) collect() {
+	if st.store == nil {
+		return
+	}
+	st.gcMu.Lock()
+	defer st.gcMu.Unlock()
+	cur := st.cur.Load()
+	if cur == nil || cur.dir == "" {
+		return
+	}
+	// Read each pin count once: a generation seen pinned here stays listed,
+	// and its own last unpin runs collect again.
+	pinned := make([]bool, len(st.retiredGens))
+	held := map[string]bool{cur.dir: true}
+	for i, g := range st.retiredGens {
+		if pinned[i] = g.pins.Load() > 0; pinned[i] {
+			held[g.dir] = true
 		}
-		cur := g.owner.cur.Load()
-		if cur == nil || cur.num == g.num || cur.dir == "" || cur.dir == g.dir {
-			return
+	}
+	kept := st.retiredGens[:0]
+	for i, g := range st.retiredGens {
+		switch {
+		case pinned[i]:
+			kept = append(kept, g)
+		case !held[g.dir]:
+			held[g.dir] = true
+			st.store.removeGen(g.dir)
 		}
-		g.owner.store.removeGen(g.dir)
-	})
+	}
+	clear(st.retiredGens[len(kept):])
+	st.retiredGens = kept
 }

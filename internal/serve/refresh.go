@@ -83,7 +83,7 @@ func (s *Server) refresh(ctx context.Context, st *servedStudy, mode etl.RefreshM
 	g := nextGeneration(st, cur, next, !delta && stats.Changed(), changedParts)
 	g.cursors = cursors
 	g.stats = stats
-	s.persist(st, g, stats.Changed())
+	s.persist(st, cur, g, report)
 	s.publish(st, g)
 
 	if delta {
@@ -119,12 +119,15 @@ func newGeneration(st *servedStudy, table *relstore.Table) *generation {
 // nextGeneration assembles the successor generation object. A full refresh
 // that changed data advances the study number and every partition; a delta
 // advances only changedParts. An unchanged build keeps the number and
-// inherits the previous on-disk directory — same data, still recoverable.
+// inherits the previous on-disk state — same data, still recoverable. The
+// digest starts as the previous generation's; persist moves it by the
+// patch.
 func nextGeneration(st *servedStudy, cur *generation, table *relstore.Table, changedAll bool, changedParts []string) *generation {
 	g := newGeneration(st, table)
 	if cur != nil {
 		g.num = cur.num
 		g.cursors = cur.cursors
+		g.digest = cur.digest
 		for k, v := range cur.partGens {
 			g.partGens[k] = v
 		}
@@ -142,25 +145,48 @@ func nextGeneration(st *servedStudy, cur *generation, table *relstore.Table, cha
 		}
 	default:
 		if cur != nil {
-			g.dir = cur.dir
+			g.onDisk = cur.onDisk
 		}
 	}
 	return g
 }
 
-// persist durably saves a data-changing generation. A failed save is
+// persist durably saves g, the successor of cur that report built. A
+// data-changing generation whose predecessor is durable is written as one
+// patch record into the predecessor's base directory, while the records
+// over that base stay within 1/compactShare of its table.rel; any other
+// generation worth saving is written as a full base. A failed save is
 // logged and counted but does not fail the refresh: the in-memory swap
-// still happens, and the previous on-disk generation survives as the last
-// complete one (collect() keeps it while the current generation has no
-// directory of its own).
-func (s *Server) persist(st *servedStudy, g *generation, changed bool) {
+// still happens, the previous on-disk generation survives as the last
+// complete one (collect keeps it while the current generation has no
+// directory), and the next persist writes a base.
+func (s *Server) persist(st *servedStudy, cur, g *generation, report *etl.RefreshReport) {
+	changed := report.Stats.Changed()
 	if st.store == nil || (!changed && g.dir != "") {
 		return
 	}
 	if !changed && g.num == 0 {
 		return // nothing ever changed and nothing is on disk: no state worth saving
 	}
-	if err := st.store.save(g, st.refreshes.Load()+1); err != nil {
+	refreshes := st.refreshes.Load() + 1
+	var rec []byte
+	if changed && cur != nil && cur.dir != "" {
+		// cur is durable, so its digest is its rows', and the patch moves
+		// g's copy of it. A patch that cannot be encoded leaves rec nil;
+		// the base written instead encodes the same rows and reports why.
+		if lines, err := renderPatch(report, &g.digest); err == nil {
+			rec, _ = encodeRecord(cur.onDisk, g, refreshes, lines)
+		}
+	}
+	var err error
+	if rec != nil && cur.logBytes+int64(len(rec)) <= cur.baseBytes/compactShare {
+		if err = st.store.saveRecord(cur.onDisk, g, rec); err == nil {
+			s.metrics().Counter("serve.snapshot.records").Inc()
+		}
+	} else {
+		err = st.store.save(g, refreshes)
+	}
+	if err != nil {
 		s.metrics().Counter("serve.snapshot.persist.errors").Inc()
 		s.logf("serve: study %q failed to persist generation %d: %v", st.name, g.num, err)
 		return

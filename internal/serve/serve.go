@@ -62,9 +62,9 @@ type Config struct {
 	// obs.Default and records no spans.
 	Observer *obs.Observer
 	// WarehouseDir enables the crash-consistent generation store: each
-	// study persists its latest complete generation under
-	// <dir>/<study>/gen-<N> and recovers it at registration after a
-	// restart. "" keeps everything in memory.
+	// study persists its latest complete generation under <dir>/<study>/
+	// — a base gen-<B> plus the patch records over it — and recovers it
+	// at registration after a restart. "" keeps everything in memory.
 	WarehouseDir string
 	// FS is the filesystem the generation store writes through; nil uses
 	// the real one. Tests and the R9 harness thread a faulty.FS here.
@@ -136,6 +136,11 @@ type servedStudy struct {
 	slots chan struct{}
 
 	refreshMu sync.Mutex // serializes builders of the next generation
+
+	// retiredGens are the retired generations whose directory may still be
+	// on disk (see collect).
+	gcMu        sync.Mutex
+	retiredGens []*generation
 
 	refreshes   atomic.Int64 // refresh attempts, success or failure
 	consecFails atomic.Int64 // consecutive failed refreshes (brownout input)
@@ -302,41 +307,37 @@ func (s *Server) register(spec *etl.StudySpec) (*servedStudy, error) {
 }
 
 // recoverStudy loads the newest complete generation from the study's store
-// and publishes it. A store whose recovered schema no longer matches the
-// spec is wiped — stale shapes are never served.
+// — a base with its records replayed — and publishes it. A store whose
+// recovered schema no longer matches the spec is wiped — stale shapes are
+// never served.
 func (s *Server) recoverStudy(st *servedStudy) {
-	rec, err := st.store.recover()
+	rec, err := st.store.recover(st.tableName)
 	if err != nil || rec == nil {
 		return
 	}
-	if !rec.rows.Schema.Equal(st.schema) {
-		s.logf("serve: study %q recovered generation %d has a stale schema; discarding store", st.name, rec.man.Gen)
+	if !rec.table.Schema().Equal(st.schema) {
+		s.logf("serve: study %q recovered generation %d has a stale schema; discarding store", st.name, rec.state.Gen)
 		st.store.discardAll()
 		return
 	}
-	table := relstore.NewTable(st.tableName, st.schema)
-	if err := table.InsertAll(rec.rows.Data); err != nil {
-		s.logf("serve: study %q recovered generation %d failed to load: %v", st.name, rec.man.Gen, err)
-		st.store.discardAll()
-		return
-	}
-	_ = table.CreateIndex(etl.ContributorColumn)
 	// Files written before generations were published in canonical order
-	// hold their rows in merge order; newGeneration reorders them.
-	g := newGeneration(st, table)
-	g.num, g.stats, g.dir = rec.man.Gen, rec.man.Stats, rec.dir
-	if rec.man.Cursors != nil {
+	// hold their rows in merge order, and replayed records append theirs;
+	// newGeneration reorders them.
+	g := newGeneration(st, rec.table)
+	g.num, g.stats, g.onDisk = rec.state.Gen, rec.state.Stats, rec.disk
+	g.digest = rec.digest
+	if rec.state.Cursors != nil {
 		g.cursors = etl.NewDeltaCursors()
-		for k, v := range rec.man.Cursors {
+		for k, v := range rec.state.Cursors {
 			g.cursors.Set(k, v)
 		}
 	}
-	if rec.man.PartGens != nil {
-		g.partGens = rec.man.PartGens
+	if rec.state.PartGens != nil {
+		g.partGens = rec.state.PartGens
 	}
-	st.refreshes.Store(rec.man.Refreshes)
+	st.refreshes.Store(rec.state.Refreshes)
 	s.publish(st, g)
-	s.logf("serve: study %q recovered generation %d (%d rows)", st.name, g.num, table.Len())
+	s.logf("serve: study %q recovered generation %d (%d rows)", st.name, g.num, g.table.Len())
 }
 
 // ensureReady lazily brings an AddStudyLazy study online: the first request
