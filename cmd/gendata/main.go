@@ -3,11 +3,8 @@
 // dumps the g-tree views (and optionally the physical table inventory) as
 // CSV for inspection.
 //
-// With -rel the views are also written in the typed .rel relation format,
-// which round-trips exactly (CSV conflates NULL with ""); -segment-rows N
-// selects the v2 segment-file layout, N rows per checksummed segment, so a
-// generated relation can later be scanned lazily under a byte budget (see
-// STORAGE.md).
+// With -rel the views are also written as v1 typed .rel files (see
+// STORAGE.md), which round-trip exactly (CSV conflates NULL with "").
 //
 // With -reports a fourth, free-text contributor (Notes) is generated: the
 // same seeded ground truth dictated into progress-note documents behind the
@@ -18,7 +15,7 @@
 // Usage:
 //
 //	gendata [-seed 42] [-n 200] [-out DIR] [-tables]
-//	        [-rel] [-segment-rows 0]
+//	        [-rel]
 //	        [-reports] [-report-corrupt 0]
 package main
 
@@ -41,7 +38,6 @@ func main() {
 	out := flag.String("out", "", "directory for CSV dumps (default: stdout summary only)")
 	tables := flag.Bool("tables", false, "also list each contributor's physical tables")
 	rel := flag.Bool("rel", false, "also write each view to -out in the typed .rel format")
-	segmentRows := flag.Int("segment-rows", 0, "with -rel, write the v2 segment layout with this many rows per segment (0 = v1)")
 	reports := flag.Bool("reports", false, "also generate the free-text Notes contributor and dump its report corpus")
 	reportCorrupt := flag.Int("report-corrupt", 0, "with -reports, inject this many out-of-vocabulary reports")
 	flag.Parse()
@@ -76,13 +72,7 @@ func main() {
 		fmt.Printf("           wrote %s\n", path)
 		if *rel {
 			path := filepath.Join(*out, c.Name+".rel")
-			err := writeFile(path, func(f *os.File) error {
-				if *segmentRows > 0 {
-					return relstore.WriteTypedSegmented(f, rows, *segmentRows)
-				}
-				return relstore.WriteTyped(f, rows)
-			})
-			if err != nil {
+			if err := writeFile(path, func(f *os.File) error { return relstore.WriteTyped(f, rows) }); err != nil {
 				fail(err)
 			}
 			fmt.Printf("           wrote %s\n", path)

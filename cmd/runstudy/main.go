@@ -35,7 +35,11 @@
 // merge stats print, and the updated tables persist back. Run it twice
 // with unchanged contributor data and the second pass reports all rows
 // unchanged. A full -refresh also persists the contributors' journal
-// cursors to -cursor-file (default <warehouse-dir>/cursors.json).
+// cursors to -cursor-file (default <warehouse-dir>/cursors.json). Each
+// table is written as v1 typed rows (see STORAGE.md), sorted on every
+// column, with the temp+fsync+rename discipline of checkpoints and
+// cursors, so a failed or interrupted save leaves the previous file
+// intact.
 //
 // Incremental refresh (reference study): -refresh-delta loads those
 // cursors and recomputes only the entities whose journal entries lie past
@@ -48,19 +52,6 @@
 //	runstudy -refresh-delta -warehouse-dir w1 -mutate-seed 5 -mutate-count 25
 //	runstudy -refresh -warehouse-dir w2 -mutate-seed 5 -mutate-count 25
 //	cmp w1/Study_reference.rel w2/Study_reference.rel
-//
-// Segmented warehouse (see STORAGE.md): -segment-rows N persists each
-// warehouse table in the v2 segment-file layout, N rows per checksummed
-// segment, which loadWarehouse reads back transparently (ReadTyped sniffs
-// the version). -dump-warehouse TABLE writes a stored table to stdout in
-// canonical v1 form whatever its layout, so a segmented warehouse diffs
-// cleanly against a flat one:
-//
-//	runstudy -refresh -warehouse-dir w1
-//	runstudy -refresh -warehouse-dir w2 -segment-rows 64
-//	runstudy -dump-warehouse Study_reference -warehouse-dir w1 > flat.txt
-//	runstudy -dump-warehouse Study_reference -warehouse-dir w2 > seg.txt
-//	diff flat.txt seg.txt
 //
 // Free-text contributor (see DESIGN.md §6.15): -with-text adds the Notes
 // contributor — the same ground truth dictated into progress-note documents
@@ -87,7 +78,6 @@
 //	         [-continue] [-fail contributor,...] [-report]
 //	         [-refresh] [-refresh-delta] [-warehouse-dir dir]
 //	         [-cursor-file file] [-mutate-seed 1] [-mutate-count 0]
-//	         [-segment-rows 0] [-dump-warehouse table]
 //	         [-with-text] [-text-append 0] [-text-corrupt 0]
 //	         [-checkpoint-dir dir] [-resume] [-crash step[:before|:after]]
 //	         [-quarantine-budget 0] [-quarantine-out file|-]
@@ -97,6 +87,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -144,8 +135,6 @@ func main() {
 	withText := flag.Bool("with-text", false, "add the free-text Notes contributor to the study (reports behind the textsrc extraction layout)")
 	textAppend := flag.Int("text-append", 0, "append this many further ground-truth reports to the Notes contributor after the build (needs -with-text; journaled, so -refresh-delta picks them up)")
 	textCorrupt := flag.Int("text-corrupt", 0, "inject this many out-of-vocabulary reports into the Notes contributor (needs -with-text; they quarantine under -quarantine-budget)")
-	segmentRows := flag.Int("segment-rows", 0, "persist warehouse tables in the v2 segment-file layout with this many rows per segment (0 = v1 single-stream)")
-	dumpWarehouseTable := flag.String("dump-warehouse", "", "write this warehouse table (v1 or v2 layout) from -warehouse-dir to stdout in canonical v1 form and exit")
 	crashAt := flag.String("crash", "", "simulate a process crash at this step; step or step:before|:after (reference study)")
 	quarBudget := flag.Int("quarantine-budget", 0, "max rows diverted to the dead-letter relation before a step fails (0 = quarantine off)")
 	quarOut := flag.String("quarantine-out", "", "write the quarantined rows with provenance to this file (\"-\" = stdout)")
@@ -159,16 +148,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	execTrace := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
-
-	if *dumpWarehouseTable != "" {
-		if *warehouseDir == "" {
-			fail(fmt.Errorf("-dump-warehouse needs -warehouse-dir"))
-		}
-		if err := dumpWarehouse(*warehouseDir, *dumpWarehouseTable); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	stopProf, err := obs.StartProfiling(*cpuProfile, *memProfile, *execTrace)
 	if err != nil {
@@ -243,8 +222,7 @@ func main() {
 			ckptDir: *ckptDir, resume: *resume, crash: *crashAt,
 			refresh: *doRefresh, refreshDelta: *doDeltaRefresh,
 			warehouseDir: *warehouseDir, cursorFile: *cursorFile,
-			segmentRows: *segmentRows,
-			quarOut:     *quarOut, poison: *poison, poisonRows: *poisonRows,
+			quarOut: *quarOut, poison: *poison, poisonRows: *poisonRows,
 			report:    *showReport,
 			traceTree: *traceTree, traceOut: *traceOut, metrics: *showMetrics,
 		})
@@ -290,7 +268,6 @@ type refOptions struct {
 	refreshDelta      bool
 	warehouseDir      string
 	cursorFile        string
-	segmentRows       int
 	quarOut           string
 	poison            string
 	poisonRows        int
@@ -465,7 +442,7 @@ func runReference(contribs []*workload.Contributor, opt refOptions) {
 		} else {
 			fmt.Printf("refresh %q into table %q: %s\n", spec.Name, compiled.Output.Table, report.Stats)
 		}
-		if err := saveWarehouse(opt.warehouseDir, warehouse, opt.segmentRows); err != nil {
+		if err := saveWarehouse(opt.warehouseDir, warehouse); err != nil {
 			fail(err)
 		}
 		if err := cursors.Save(cursorFile); err != nil {
@@ -592,15 +569,13 @@ func loadWarehouse(dir string, db *relstore.DB) (int, error) {
 	return loaded, nil
 }
 
-// saveWarehouse persists every table in db to dir as <name>.rel, sorted on
-// every column — canonical bytes, so warehouses reached by different routes
-// (delta refresh vs full recompute) compare equal with plain cmp. With
-// segRows > 0 tables are written in the v2 segment-file layout (segRows rows
-// per checksummed segment); 0 keeps the v1 single-stream layout.
-func saveWarehouse(dir string, db *relstore.DB, segRows int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+// saveWarehouse persists every table in db to dir as <name>.rel, v1 typed
+// rows sorted on every column — canonical bytes, so warehouses reached by
+// different routes (delta refresh vs full recompute) compare equal with
+// plain cmp. Each table is encoded in full before etl.WriteFileAtomic
+// replaces its file, so a table that fails to encode, or a crash mid-save,
+// leaves the previous file as it was.
+func saveWarehouse(dir string, db *relstore.DB) error {
 	for _, name := range db.TableNames() {
 		table, err := db.Table(name)
 		if err != nil {
@@ -611,42 +586,15 @@ func saveWarehouse(dir string, db *relstore.DB, segRows int) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(dir, name+".rel"))
-		if err != nil {
-			return err
+		var buf bytes.Buffer
+		if err := relstore.WriteTyped(&buf, sorted); err != nil {
+			return fmt.Errorf("warehouse table %s: %w", name, err)
 		}
-		if segRows > 0 {
-			err = relstore.WriteTypedSegmented(f, sorted, segRows)
-		} else {
-			err = relstore.WriteTyped(f, sorted)
-		}
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := etl.WriteFileAtomic(nil, filepath.Join(dir, name+".rel"), buf.Bytes()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// dumpWarehouse writes one warehouse table to stdout in canonical v1 typed
-// form, whatever layout it is stored in: ReadTyped reads v1 and v2 alike,
-// checking every v2 segment's checksum and row count, and WriteTyped
-// re-emits the rows as one v1 stream — which is how the CI smoke job diffs
-// a segment-mode warehouse against a flat one.
-func dumpWarehouse(dir, name string) error {
-	f, err := os.Open(filepath.Join(dir, name+".rel"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rows, err := relstore.ReadTyped(f)
-	if err != nil {
-		return err
-	}
-	return relstore.WriteTyped(os.Stdout, rows)
 }
 
 // writeQuarantine renders the dead-letter relation to the given path ("-"

@@ -26,7 +26,7 @@
 //	       [-trace-out spans.jsonl] [-with-text]
 //
 // With -warehouse-dir, every data-changing refresh is persisted as an
-// immutable generation: a full base (segment file + checksummed MANIFEST)
+// immutable generation: a full base (v1 rows + checksummed MANIFEST)
 // or, while the previous generation is durable, a small checksummed patch
 // record over its base; a restart — clean or SIGKILL — recovers the newest
 // complete generation, replaying its records, and serves it without

@@ -2,6 +2,7 @@ package etl
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -166,13 +167,14 @@ func (m *MemCheckpointer) Len(fingerprint string) int {
 //
 //	<dir>/<fingerprint>/<url-escaped step ID>.ckpt
 //
-// Each file is a line-oriented text format (see CheckpointVersion): a magic
-// header, a SHA-256 checksum of the payload, then per-table sections using
-// relstore's typed relation serialization. Writes go to a temp file that is
-// fsynced and renamed into place, so a crash mid-save leaves either the old
-// checkpoint or a stray temp file — never a half-written .ckpt under the
-// live name. A torn or bit-flipped file fails its checksum on Load and is
-// reported as ErrCorruptCheckpoint.
+// Each file is a line-oriented text format in Frame's checksummed
+// framing: a magic header (CheckpointVersion), a SHA-256 checksum of the
+// payload, then per-table sections using relstore's typed relation
+// serialization. Writes go to a temp file that is fsynced and renamed into
+// place, so a crash mid-save leaves either the old checkpoint or a stray
+// temp file — never a half-written .ckpt under the live name. A torn or
+// bit-flipped file fails its checksum on Load and is reported as
+// ErrCorruptCheckpoint.
 type FSCheckpointer struct {
 	// Dir is the checkpoint root directory; created on first Save.
 	Dir string
@@ -199,9 +201,7 @@ func (f *FSCheckpointer) Save(fingerprint, stepID string, snap *Snapshot) error 
 	if err != nil {
 		return err
 	}
-	sum := sha256.Sum256(payload)
-	header := CheckpointVersion + "\nsha256 " + hex.EncodeToString(sum[:]) + "\n"
-	return WriteFileAtomic(f.FS, f.path(fingerprint, stepID), append([]byte(header), payload...))
+	return WriteFileAtomic(f.FS, f.path(fingerprint, stepID), Frame(CheckpointVersion, payload))
 }
 
 // Load implements Checkpointer.
@@ -213,20 +213,11 @@ func (f *FSCheckpointer) Load(fingerprint, stepID string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
-	rest, ok := strings.CutPrefix(string(b), CheckpointVersion+"\n")
-	if !ok {
-		return nil, fmt.Errorf("%w: %s: bad or missing header", ErrCorruptCheckpoint, stepID)
+	payload, err := Unframe(b, CheckpointVersion, stepID)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
-	sumLine, payload, ok := strings.Cut(rest, "\n")
-	wantSum, ok2 := strings.CutPrefix(sumLine, "sha256 ")
-	if !ok || !ok2 {
-		return nil, fmt.Errorf("%w: %s: missing checksum line", ErrCorruptCheckpoint, stepID)
-	}
-	sum := sha256.Sum256([]byte(payload))
-	if hex.EncodeToString(sum[:]) != wantSum {
-		return nil, fmt.Errorf("%w: %s: checksum mismatch (torn or corrupted write)", ErrCorruptCheckpoint, stepID)
-	}
-	snap, err := decodeSnapshot(strings.NewReader(payload))
+	snap, err := decodeSnapshot(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptCheckpoint, stepID, err)
 	}

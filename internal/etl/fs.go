@@ -1,6 +1,10 @@
 package etl
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -112,4 +116,34 @@ func WriteFileAtomic(fsys FS, path string, data []byte) error {
 		return err
 	}
 	return fsys.Rename(tmp.Name(), path)
+}
+
+// Frame wraps a payload in the checksummed framing every self-checking
+// file shares — checkpoints, and a generation's MANIFEST and patch
+// records: a version line, a "sha256 <hex of payload>" line, the payload.
+func Frame(version string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	head := version + "\nsha256 " + hex.EncodeToString(sum[:]) + "\n"
+	return append([]byte(head), payload...)
+}
+
+// Unframe checks what Frame wrote and returns the payload; what names the
+// file in errors. A wrong version line, a missing checksum line and a
+// payload that does not hash to its checksum — a torn or corrupted write —
+// are each an error.
+func Unframe(b []byte, version, what string) ([]byte, error) {
+	rest, ok := bytes.CutPrefix(b, []byte(version+"\n"))
+	if !ok {
+		return nil, fmt.Errorf("%s has bad or missing header", what)
+	}
+	sumLine, payload, ok := bytes.Cut(rest, []byte("\n"))
+	wantSum, ok2 := bytes.CutPrefix(sumLine, []byte("sha256 "))
+	if !ok || !ok2 {
+		return nil, fmt.Errorf("%s missing checksum line", what)
+	}
+	sum := sha256.Sum256(payload)
+	if hex.EncodeToString(sum[:]) != string(wantSum) {
+		return nil, fmt.Errorf("%s checksum mismatch (torn or corrupted write)", what)
+	}
+	return payload, nil
 }

@@ -114,17 +114,17 @@ func BenchmarkGroupBy(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteTypedSegmented encodes a generation-sized study table the
-// way persisting a generation does: straight from table storage, in the
-// default segment size.
-func BenchmarkWriteTypedSegmented(b *testing.B) {
+// BenchmarkWriteTyped encodes a generation-sized study table the way
+// persisting a generation base does: WriteTyped over the table's shared
+// rows.
+func BenchmarkWriteTyped(b *testing.B) {
 	table := studyShapedTable(b, 20000)
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := table.WriteTypedSegmented(&buf, 0); err != nil {
+		if err := WriteTyped(&buf, table.Rows()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,8 +3,11 @@ package relstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -234,8 +237,8 @@ func probes(tb *Table, pred Pred) bool {
 // table with no index (always the scan path) and on one indexed on K and N
 // (the probe path whenever pred has an indexable conjunct); Table.Delete on
 // clones of both, which must remove exactly the matches or, on error,
-// nothing; and Table.Update, which must hand fn exactly the matches in
-// storage order, stopping at the row the reference fails on.
+// nothing; and Table.Update on clones of both, the indexed one ordered on
+// K, which must be all or nothing (see checkUpdate).
 func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 	t.Helper()
 	want, refErr := refSelect(in, pred)
@@ -299,21 +302,95 @@ func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 		}
 	}
 
+	for _, tb := range []*Table{plain, indexed} {
+		for _, failAt := range []int{-1, len(in.Data) % 3} {
+			c := tb.Clone()
+			if tb == indexed {
+				if err := c.Order("K"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkUpdate(t, label, c, pred, failAt)
+		}
+	}
+}
+
+// checkUpdate runs c.Update(pred) with an fn that negates the ID of each
+// row it is handed, except that match failAt (< 0: none) gets a NULL ID,
+// which the schema refuses. fn must see exactly the matches in storage
+// order, up to the row the reference scan or the replacement fails on. A
+// successful Update rewrites exactly the matches; a failed one returns 0
+// and leaves the rows, the index probes and the ordered prefix exactly as
+// they were.
+func checkUpdate(t *testing.T, label string, c *Table, pred Pred, failAt int) {
+	t.Helper()
+	before := c.Rows()
+	ordCols, ordLen := slices.Clone(c.ordCols), c.ordLen
 	var seen []Row
-	n, err := plain.Clone().Update(pred, func(r Row) Row {
+	n, err := c.Update(pred, func(r Row) Row {
 		seen = append(seen, r.Clone())
-		r[0] = Int(-1 - r[0].AsInt())
+		if len(seen)-1 == failAt {
+			r[0] = Null()
+		} else {
+			r[0] = Int(-1 - r[0].AsInt())
+		}
 		return r
 	})
-	reached, refErr := refScan(in, pred)
-	if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+	reached, refErr := refScan(before, pred)
+	if failAt >= 0 && failAt < len(reached) {
+		reached = reached[:failAt+1]
+		if err == nil || !strings.HasPrefix(err.Error(), "update T: ") {
+			t.Fatalf("%s: Update %s with an invalid replacement: error %v", label, pred.SQL(), err)
+		}
+	} else if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
 		t.Fatalf("%s: Update %s: error %v, want %v", label, pred.SQL(), err, refErr)
 	}
-	if n != len(reached) {
-		t.Fatalf("%s: Update %s updated %d rows, want %d", label, pred.SQL(), n, len(reached))
-	}
-	if e := strictRowsEq(&Rows{Schema: in.Schema, Data: seen}, &Rows{Schema: in.Schema, Data: reached}); e != nil {
+	if e := strictRowsEq(&Rows{Schema: before.Schema, Data: seen}, &Rows{Schema: before.Schema, Data: reached}); e != nil {
 		t.Fatalf("%s: Update %s handed fn the wrong rows: %v", label, pred.SQL(), e)
+	}
+	want := before
+	if err == nil {
+		if n != len(reached) {
+			t.Fatalf("%s: Update %s updated %d rows, want %d", label, pred.SQL(), n, len(reached))
+		}
+		want = &Rows{Schema: before.Schema}
+		for _, r := range before.Data {
+			if ok, _ := evalPred(pred, r, before.Schema); ok {
+				r = append(Row{Int(-1 - r[0].AsInt())}, r[1:]...)
+			}
+			want.Data = append(want.Data, r)
+		}
+	} else {
+		if n != 0 {
+			t.Fatalf("%s: a failed Update %s returned %d, want 0", label, pred.SQL(), n)
+		}
+		if !slices.Equal(c.ordCols, ordCols) || c.ordLen != ordLen {
+			t.Fatalf("%s: a failed Update %s changed the ordered prefix from %v/%d to %v/%d",
+				label, pred.SQL(), ordCols, ordLen, c.ordCols, c.ordLen)
+		}
+	}
+	if e := strictRowsEq(c.Rows(), want); e != nil {
+		t.Fatalf("%s: Update %s (error %v) left the wrong rows: %v", label, pred.SQL(), err, e)
+	}
+	for _, col := range []string{"K", "N"} {
+		ci := want.Schema.Index(col)
+		var probed []Value
+		for _, r := range want.Data {
+			if slices.ContainsFunc(probed, r[ci].Equal) {
+				continue
+			}
+			probed = append(probed, r[ci])
+			var match []Row
+			for _, w := range want.Data {
+				if w[ci].Equal(r[ci]) {
+					match = append(match, w)
+				}
+			}
+			got, _ := c.Lookup(col, r[ci])
+			if e := strictRowsEq(&Rows{Schema: want.Schema, Data: got}, &Rows{Schema: want.Schema, Data: match}); e != nil {
+				t.Fatalf("%s: after Update %s (error %v), Lookup(%s=%v): %v", label, pred.SQL(), err, col, r[ci], e)
+			}
+		}
 	}
 }
 
@@ -470,7 +547,7 @@ func TestColumnarOpsChunkInvariance(t *testing.T) {
 				fmt.Fprintf(h, "error %v\n", err)
 				continue
 			}
-			line, err := marshalSchemaJSON(out.Schema)
+			line, err := json.Marshal(schemaToSerial(out.Schema))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,10 +9,10 @@ import (
 // TestConcurrentReadersWriter is the serving-path concurrency contract,
 // meant to run under -race: many readers extract from a table while a
 // writer refreshes it. Update and Delete hold the write lock for the whole
-// call, and Select, Clone and WriteTypedSegmented read under the read lock,
-// so every read must observe a consistent snapshot — here, a table-wide
-// invariant (all rows carry the same Version) that the writer advances
-// atomically. A Clone shares the stored rows, so reading it back must show
+// call, and Select, Clone and Rows (which a generation base encodes) read
+// under the read lock, so every read must observe a consistent snapshot —
+// here, a table-wide invariant (all rows carry the same Version) that the
+// writer advances atomically. A Clone shares the stored rows, so reading it back must show
 // its snapshot's Version however far the writer has moved on.
 func TestConcurrentReadersWriter(t *testing.T) {
 	schema := MustSchema(
@@ -85,13 +85,13 @@ func TestConcurrentReadersWriter(t *testing.T) {
 	}
 }
 
-// snapshot reads the whole table one of three ways: Select, the v2 writer
-// read back, or a Select on a Clone.
+// snapshot reads the whole table one of three ways: Select, the rows a
+// generation base writes read back, or a Select on a Clone.
 func snapshot(table *Table, way int) (*Rows, error) {
 	switch way {
 	case 1:
 		var buf bytes.Buffer
-		if err := table.WriteTypedSegmented(&buf, 16); err != nil {
+		if err := WriteTyped(&buf, table.Rows()); err != nil {
 			return nil, err
 		}
 		return ReadTyped(&buf)

@@ -43,11 +43,12 @@
 // bit for bit. [AppendRowJSON] is the one row encoder: it appends a row's
 // kind-tagged JSON line to a byte buffer, byte-identical to what
 // encoding/json renders and without allocating for plain rows, leaving
-// escaped strings to json.Marshal. [WriteTyped] emits the v1 single-stream
-// layout; [WriteTypedSegmented] and [Table.WriteTypedSegmented] emit the v2
-// segment-file layout (segment.go), encoding every row line into one
-// buffer — the method straight from table storage, copying no row. The v2
-// header indexes fixed-size, CRC-checksummed blocks; [ReadTyped] sniffs the
-// version from the first byte, reads both, and checks every v2 segment's
-// checksum and row count.
+// escaped strings to json.Marshal. [WriteTyped] emits the v1 layout — a
+// schema line, then one row line each — which is the only layout
+// generations and warehouses write; given [Table.Rows] it encodes the
+// stored rows themselves, copying only the slice that references them.
+// [ReadTyped] sniffs the version from the first byte and also reads the
+// older v2 segment-file layout (segment.go), checking every segment's
+// CRC and row count, so files written before v1 became the only layout
+// still load.
 package relstore

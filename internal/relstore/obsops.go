@@ -29,6 +29,3 @@ var (
 // (Project, Derive, Extend, Join, Distinct, Pivot, Unpivot, GroupBy and
 // EqualUnordered, one count per pass) passed over.
 var mBatchRows = obs.Default.Counter("relstore.batch.rows")
-
-// relstore.segment.writes counts the v2 segment blocks written.
-var mSegWrites = obs.Default.Counter("relstore.segment.writes")

@@ -229,29 +229,31 @@ func studyShapedTable(tb testing.TB, n int) *Table {
 	return t
 }
 
-// TestWriteTypedSegmentedAllocs: encoding a generation-sized table costs a
-// bounded number of allocations — buffer growth and the header — not a few
-// per row, and it writes what the free function writes for t.Rows().
-func TestWriteTypedSegmentedAllocs(t *testing.T) {
+// TestWriteTypedAllocs: encoding a generation-sized table the way a
+// generation base does, WriteTyped over t.Rows(), costs a bounded number of
+// allocations — the row-reference slice, the schema line and the buffers —
+// not a few per row, and the bytes read back as the table's rows.
+func TestWriteTypedAllocs(t *testing.T) {
 	table := studyShapedTable(t, 20000)
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {
-		err = table.WriteTypedSegmented(io.Discard, 0)
+		err = WriteTyped(io.Discard, table.Rows())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if allocs >= 100 {
-		t.Fatalf("(*Table).WriteTypedSegmented of 20000 rows allocated %.0f times, want < 100", allocs)
+		t.Fatalf("WriteTyped of a 20000-row table allocated %.0f times, want < 100", allocs)
 	}
-	var fromTable, fromRows bytes.Buffer
-	if err := table.WriteTypedSegmented(&fromTable, 0); err != nil {
+	var buf bytes.Buffer
+	if err := WriteTyped(&buf, table.Rows()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTypedSegmented(&fromRows, table.Rows(), 0); err != nil {
+	back, err := ReadTyped(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fromTable.Bytes(), fromRows.Bytes()) {
-		t.Fatal("(*Table).WriteTypedSegmented and WriteTypedSegmented(t.Rows()) disagree")
+	if err := strictRowsEq(back, table.Rows()); err != nil {
+		t.Fatalf("WriteTyped read back: %v", err)
 	}
 }

@@ -19,15 +19,15 @@ import (
 //
 // Row lines are exactly the v1 kind-tagged JSON rows, so the two formats
 // share one row codec (AppendRowJSON/UnmarshalRowJSON); only the framing
-// differs. v1 files (whose first line is the bare schema array, starting
-// '[') remain readable by ReadTyped, which sniffs the first byte. Writes
-// are deterministic: the same relation and segment size always produce the
-// same bytes, preserving the byte-identical round-trip invariant the
-// checkpoint and warehouse layers compare with cmp(1).
+// differs. Nothing in production writes v2 any more: generation bases and
+// warehouse tables are v1 files. ReadTyped, which sniffs the first byte,
+// keeps reading v2 so that generation directories and warehouses written
+// before that change still load. WriteTypedSegmented remains only for
+// guavabench's segment-encode probe.
 
-// DefaultSegmentRows is the rows-per-segment used when a caller asks for
-// segmenting without choosing a size.
-const DefaultSegmentRows = 4096
+// defaultSegmentRows is the rows-per-segment WriteTypedSegmented uses when
+// the caller does not choose a size.
+const defaultSegmentRows = 4096
 
 // segMeta describes one segment block in the v2 header.
 type segMeta struct {
@@ -44,75 +44,33 @@ type relHeader struct {
 	Segments []segMeta      `json:"segments"`
 }
 
-func schemaToSerial(s *Schema) []serialColumn {
-	cols := make([]serialColumn, len(s.Columns))
-	for i, c := range s.Columns {
-		cols[i] = serialColumn{Name: c.Name, Type: c.Type.String(), NotNull: c.NotNull}
-	}
-	return cols
-}
-
-func schemaFromSerial(cols []serialColumn) (*Schema, error) {
-	out := make([]Column, len(cols))
-	for i, c := range cols {
-		k, err := kindFromString(c.Type)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Column{Name: c.Name, Type: k, NotNull: c.NotNull}
-	}
-	return NewSchema(out...)
-}
-
 // WriteTypedSegmented writes a relation in the v2 segment-file layout with
-// segRows rows per segment (<= 0 uses DefaultSegmentRows). An empty relation
-// writes a header with no segments.
+// segRows rows per segment (<= 0 uses defaultSegmentRows). An empty
+// relation writes a header with no segments. Row lines are appended
+// straight into one buffer, so the cost per row is its bytes and nothing
+// else.
 func WriteTypedSegmented(w io.Writer, rows *Rows, segRows int) error {
-	hl, blocks, err := encodeSegmented(rows.Schema, rows.Data, segRows)
-	if err != nil {
-		return err
-	}
-	return writeSegmented(w, hl, blocks)
-}
-
-// WriteTypedSegmented writes the table in the v2 segment-file layout, rows
-// in storage order, exactly as WriteTypedSegmented writes t.Rows() — but
-// straight from table storage, with no row copied. The rows are encoded
-// under the read lock, which is released before w is written.
-func (t *Table) WriteTypedSegmented(w io.Writer, segRows int) error {
-	t.mu.RLock()
-	t.check.verifyAll(t.name, t.rows)
-	hl, blocks, err := encodeSegmented(t.schema, t.rows, segRows)
-	t.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return writeSegmented(w, hl, blocks)
-}
-
-// encodeSegmented encodes rows as v2 segment blocks, back to back in one
-// buffer, and returns the header line (newline included) that describes
-// them. Row lines are appended straight into that buffer, so the cost per
-// row is its bytes and nothing else.
-func encodeSegmented(schema *Schema, rows []Row, segRows int) (header, blocks []byte, err error) {
 	if segRows <= 0 {
-		segRows = DefaultSegmentRows
+		segRows = defaultSegmentRows
 	}
-	hdr := relHeader{Rel: 2, Rows: len(rows), Schema: schemaToSerial(schema)}
-	for lo := 0; lo < len(rows); lo += segRows {
-		hi := min(lo+segRows, len(rows))
+	data := rows.Data
+	hdr := relHeader{Rel: 2, Rows: len(data), Schema: schemaToSerial(rows.Schema)}
+	var blocks []byte
+	var err error
+	for lo := 0; lo < len(data); lo += segRows {
+		hi := min(lo+segRows, len(data))
 		start := len(blocks)
-		for _, r := range rows[lo:hi] {
+		for _, r := range data[lo:hi] {
 			if blocks, err = AppendRowJSON(blocks, r); err != nil {
-				return nil, nil, err
+				return err
 			}
 			blocks = append(blocks, '\n')
 		}
-		if lo == 0 && hi < len(rows) {
+		if lo == 0 && hi < len(data) {
 			// Size the buffer for the rest from the first segment's bytes
 			// per row, with an eighth to spare, so later segments seldom
 			// regrow it.
-			rest := len(blocks) * (len(rows) - hi) / hi
+			rest := len(blocks) * (len(data) - hi) / hi
 			blocks = slices.Grow(blocks, rest+rest/8)
 		}
 		hdr.Segments = append(hdr.Segments, segMeta{
@@ -120,20 +78,15 @@ func encodeSegmented(schema *Schema, rows []Row, segRows int) (header, blocks []
 			Bytes: int64(len(blocks) - start),
 			CRC:   crc32.ChecksumIEEE(blocks[start:]),
 		})
-		mSegWrites.Inc()
 	}
-	if header, err = json.Marshal(hdr); err != nil {
-		return nil, nil, err
-	}
-	return append(header, '\n'), blocks, nil
-}
-
-// writeSegmented writes an encoded v2 file: the header line, then the blocks.
-func writeSegmented(w io.Writer, header, blocks []byte) error {
-	if _, err := w.Write(header); err != nil {
+	header, err := json.Marshal(hdr)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(blocks)
+	if _, err := w.Write(append(header, '\n')); err != nil {
+		return err
+	}
+	_, err = w.Write(blocks)
 	return err
 }
 

@@ -53,21 +53,18 @@ func kindFromString(s string) (Kind, error) {
 	return KindNull, fmt.Errorf("relstore: unknown column type %q", s)
 }
 
-// marshalSchemaJSON renders a schema as one JSON line (no trailing newline).
-func marshalSchemaJSON(s *Schema) ([]byte, error) {
+// schemaToSerial is a schema's JSON shape: the v1 schema line and the v2
+// header's "schema" field.
+func schemaToSerial(s *Schema) []serialColumn {
 	cols := make([]serialColumn, len(s.Columns))
 	for i, c := range s.Columns {
 		cols[i] = serialColumn{Name: c.Name, Type: c.Type.String(), NotNull: c.NotNull}
 	}
-	return json.Marshal(cols)
+	return cols
 }
 
-// UnmarshalSchemaJSON parses a schema line written by marshalSchemaJSON.
-func UnmarshalSchemaJSON(b []byte) (*Schema, error) {
-	var cols []serialColumn
-	if err := json.Unmarshal(b, &cols); err != nil {
-		return nil, fmt.Errorf("relstore: parse schema: %w", err)
-	}
+// schemaFromSerial inverts schemaToSerial.
+func schemaFromSerial(cols []serialColumn) (*Schema, error) {
 	out := make([]Column, len(cols))
 	for i, c := range cols {
 		k, err := kindFromString(c.Type)
@@ -79,10 +76,19 @@ func UnmarshalSchemaJSON(b []byte) (*Schema, error) {
 	return NewSchema(out...)
 }
 
+// UnmarshalSchemaJSON parses a schema line written by WriteTyped.
+func UnmarshalSchemaJSON(b []byte) (*Schema, error) {
+	var cols []serialColumn
+	if err := json.Unmarshal(b, &cols); err != nil {
+		return nil, fmt.Errorf("relstore: parse schema: %w", err)
+	}
+	return schemaFromSerial(cols)
+}
+
 // AppendRowJSON appends one row, rendered as one JSON line of kind-tagged
 // values without the newline, to dst and returns the extended buffer. It is
-// the one row encoder: both .rel layouts and the warehouse dump write the
-// bytes it appends. The output is exactly what encoding/json gives for the
+// the one row encoder: both .rel layouts and patch records write the bytes
+// it appends. The output is exactly what encoding/json gives for the
 // row as a []*serialValue — NULL is null, an int {"i":"<decimal>"}, a float
 // {"f":<number>}, a string {"s":<string>}, a bool {"b":true|false} — but it
 // allocates nothing unless a string needs escaping. A NaN or infinite float
@@ -197,7 +203,7 @@ func UnmarshalRowJSON(b []byte) (Row, error) {
 // then one row line per tuple. Every row line is encoded into one reused
 // buffer.
 func WriteTyped(w io.Writer, rows *Rows) error {
-	sl, err := marshalSchemaJSON(rows.Schema)
+	sl, err := json.Marshal(schemaToSerial(rows.Schema))
 	if err != nil {
 		return err
 	}
@@ -218,7 +224,8 @@ func WriteTyped(w io.Writer, rows *Rows) error {
 // ReadTyped parses a relation written by WriteTyped or WriteTypedSegmented,
 // validating every row against the parsed schema. The format version is
 // sniffed from the first byte: v1 files open with the bare schema array
-// ('['), v2 segment files with a header object ('{').
+// ('['), v2 segment files with a header object ('{'). Only files written
+// before generations and warehouses moved to v1 are v2 (see segment.go).
 func ReadTyped(r io.Reader) (*Rows, error) {
 	br := bufio.NewReader(r)
 	sl, err := readLine(br)

@@ -44,7 +44,7 @@ type Table struct {
 	// ordCols are the column positions of the last Order, and ordLen is the
 	// length of the storage prefix still in that order: Delete shortens it
 	// by the rows it drops from it, Insert and InsertAll append past it,
-	// and Update and Truncate reset it.
+	// and a successful Update and Truncate reset it.
 	ordCols []int
 	ordLen  int
 }
@@ -144,17 +144,22 @@ func (t *Table) InsertMap(m map[string]Value) error {
 }
 
 // Update applies fn to every row matching pred, replacing the stored row
-// with the returned one. It returns the number of rows updated. Indexes are
-// rebuilt if any update occurred.
+// with the returned one, and returns the number of rows updated. It is all
+// or nothing, like Delete and InsertAll: every match is found, handed to fn
+// in storage order and its replacement validated before any row is
+// written, so a predicate error or an invalid replacement returns 0 and
+// leaves the rows, the indexes and the ordered prefix as they were.
+// Indexes are rebuilt if any update occurred.
 func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	test := bindPred(pred, t.schema)
-	n := 0
+	var at []int
+	var repl []Row
 	for i, r := range t.rows {
 		ok, err := test(r)
 		if err != nil {
-			return n, err
+			return 0, err
 		}
 		if !ok {
 			continue
@@ -162,18 +167,22 @@ func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 		t.check.verify(t.name, r)
 		nr := fn(r.Clone())
 		if err := t.schema.Validate(nr); err != nil {
-			return n, fmt.Errorf("update %s: %w", t.name, err)
+			return 0, fmt.Errorf("update %s: %w", t.name, err)
 		}
-		t.check.forget(r)
-		t.check.record(t.name, nr)
-		t.rows[i] = nr
-		n++
+		at = append(at, i)
+		repl = append(repl, nr)
 	}
-	if n > 0 {
-		t.ordCols, t.ordLen = nil, 0
-		t.rebuildIndexesLocked()
+	if len(at) == 0 {
+		return 0, nil
 	}
-	return n, nil
+	for j, i := range at {
+		t.check.forget(t.rows[i])
+		t.check.record(t.name, repl[j])
+		t.rows[i] = repl[j]
+	}
+	t.ordCols, t.ordLen = nil, 0
+	t.rebuildIndexesLocked()
+	return len(at), nil
 }
 
 // Delete removes rows matching pred and returns how many were removed.

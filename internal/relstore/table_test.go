@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -191,6 +192,69 @@ func TestTableUpdateDelete(t *testing.T) {
 	}
 	if tab.Len() != 2 {
 		t.Errorf("Len after delete = %d", tab.Len())
+	}
+}
+
+// TestFailedUpdateLeavesTableUntouched: an Update whose second replacement
+// fails NOT NULL writes nothing, so the index on V, a Select through it and
+// the ordered prefix on K still describe the rows the table holds.
+func TestFailedUpdateLeavesTableUntouched(t *testing.T) {
+	tab := NewTable("T", MustSchema(
+		Column{Name: "K", Type: KindInt, NotNull: true},
+		Column{Name: "V", Type: KindString, NotNull: true},
+	))
+	if err := tab.CreateIndex("V"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{3, 1, 2, 0} {
+		if err := tab.Insert(Row{Int(k), Str("a")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Order("K"); err != nil {
+		t.Fatal(err)
+	}
+	before := tab.Rows()
+	calls := 0
+	n, err := tab.Update(nil, func(r Row) Row {
+		calls++
+		if calls == 1 {
+			return Row{Int(99), Str("b")}
+		}
+		r[1] = Null()
+		return r
+	})
+	if err == nil || n != 0 || calls != 2 {
+		t.Fatalf("Update = (%d, %v) after %d calls, want (0, NOT NULL error) after 2", n, err, calls)
+	}
+	if err := strictRowsEq(tab.Rows(), before); err != nil {
+		t.Fatalf("a failed Update changed the rows: %v", err)
+	}
+	for _, v := range []string{"a", "b"} {
+		var want int
+		for _, r := range tab.Rows().Data {
+			if r[1].AsString() == v {
+				want++
+			}
+		}
+		got, err := tab.Lookup("V", Str(v))
+		if err != nil || len(got) != want {
+			t.Errorf("Lookup(V, %q) = %d rows (%v), the table holds %d", v, len(got), err, want)
+		}
+		sel, err := tab.Select(Eq("V", Str(v)))
+		if err != nil || sel.Len() != want {
+			t.Errorf("Select(V = %q) = %d rows (%v), the table holds %d", v, sel.Len(), err, want)
+		}
+	}
+	if err := tab.Order("K"); err != nil {
+		t.Fatal(err)
+	}
+	var keys []int64
+	for _, r := range tab.Rows().Data {
+		keys = append(keys, r[0].AsInt())
+	}
+	if !slices.Equal(keys, []int64{0, 1, 2, 3}) {
+		t.Errorf("Order(K) after a failed Update left K as %v, want [0 1 2 3]", keys)
 	}
 }
 

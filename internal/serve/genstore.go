@@ -20,17 +20,21 @@ import (
 
 // genStore is one study's crash-consistent generation store:
 //
-//	<WarehouseDir>/<study>/gen-<B>/table.rel   v2 segment file (CRC per segment)
+//	<WarehouseDir>/<study>/gen-<B>/table.rel   v1 typed rows: a schema line, then one row line each
 //	<WarehouseDir>/<study>/gen-<B>/MANIFEST    checksummed metadata, written last
 //	<WarehouseDir>/<study>/gen-<B>/patch-<N>   checksummed patch record of generation N > B
 //
 // A base — table.rel plus MANIFEST — holds every row of generation B. The
 // write protocol makes "complete" a single-file property: table.rel is
 // written first (temp+fsync+rename), then the MANIFEST — which carries the
-// table's SHA-256 — is written the same way. A directory without a valid
-// MANIFEST, or whose table fails its recorded checksum, is torn by
-// definition; a crash at any point leaves either a complete base or a
-// detectably incomplete one, never a plausible half-write.
+// table's SHA-256 and row count, so it checks every byte of table.rel — is
+// written the same way. The MANIFEST and the records share etl.Frame's
+// checksummed framing. Bases written before v1 became the only layout
+// hold a v2 segment file, which relstore.ReadTyped still reads. A
+// directory without a valid MANIFEST, or whose table fails its recorded
+// checksum, is torn by definition; a crash at any point leaves either a
+// complete base or a detectably incomplete one, never a plausible
+// half-write.
 //
 // A data-changing refresh whose predecessor is durable writes no base: it
 // writes one record, patch-<N>, into its predecessor's base directory, with
@@ -102,19 +106,18 @@ type onDisk struct {
 type genStore struct {
 	fs      etl.FS
 	root    string // <WarehouseDir>/<study>
-	segRows int
 	metrics func() *obs.Registry
 	logf    func(format string, args ...any)
 }
 
-func newGenStore(fsys etl.FS, root string, segRows int, metrics func() *obs.Registry, logf func(string, ...any)) *genStore {
+func newGenStore(fsys etl.FS, root string, metrics func() *obs.Registry, logf func(string, ...any)) *genStore {
 	if fsys == nil {
 		fsys = etl.OSFS{}
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &genStore{fs: fsys, root: root, segRows: segRows, metrics: metrics, logf: logf}
+	return &genStore{fs: fsys, root: root, metrics: metrics, logf: logf}
 }
 
 func (gs *genStore) genDir(num int64) string {
@@ -129,33 +132,6 @@ func (g *generation) state(refreshes int64) genState {
 	}
 	st.Digest = g.digest.String()
 	return st
-}
-
-// frame wraps a payload in the checksummed framing MANIFESTs and records
-// share: a version line, a "sha256 <hex of payload>" line, the payload.
-func frame(version string, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	head := version + "\nsha256 " + hex.EncodeToString(sum[:]) + "\n"
-	return append([]byte(head), payload...)
-}
-
-// unframe checks what frame wrote and returns the payload; what names the
-// file in errors.
-func unframe(b []byte, version, what string) ([]byte, error) {
-	rest, ok := bytes.CutPrefix(b, []byte(version+"\n"))
-	if !ok {
-		return nil, fmt.Errorf("%s has bad or missing header", what)
-	}
-	sumLine, payload, ok := bytes.Cut(rest, []byte("\n"))
-	wantSum, ok2 := bytes.CutPrefix(sumLine, []byte("sha256 "))
-	if !ok || !ok2 {
-		return nil, fmt.Errorf("%s missing checksum line", what)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != string(wantSum) {
-		return nil, fmt.Errorf("%s checksum mismatch (torn or corrupted write)", what)
-	}
-	return payload, nil
 }
 
 // save persists g as a full base, gen-<num>: table first, MANIFEST last. On
@@ -180,7 +156,7 @@ func (gs *genStore) writeBase(dir string, g *generation, refreshes int64) (int64
 		return 0, err
 	}
 	var buf bytes.Buffer
-	if err := g.table.WriteTypedSegmented(&buf, gs.segRows); err != nil {
+	if err := relstore.WriteTyped(&buf, g.table.Rows()); err != nil {
 		return 0, err
 	}
 	if err := etl.WriteFileAtomic(gs.fs, filepath.Join(dir, "table.rel"), buf.Bytes()); err != nil {
@@ -198,7 +174,7 @@ func (gs *genStore) writeBase(dir string, g *generation, refreshes int64) (int64
 		return 0, err
 	}
 	payload = append(payload, '\n')
-	if err := etl.WriteFileAtomic(gs.fs, filepath.Join(dir, "MANIFEST"), frame(genManifestVersion, payload)); err != nil {
+	if err := etl.WriteFileAtomic(gs.fs, filepath.Join(dir, "MANIFEST"), etl.Frame(genManifestVersion, payload)); err != nil {
 		return 0, err
 	}
 	return int64(buf.Len()), nil
@@ -255,7 +231,7 @@ func encodeRecord(at onDisk, g *generation, refreshes int64, p patchLines) ([]by
 	}
 	payload := make([]byte, 0, len(head)+1+len(p.body))
 	payload = append(append(append(payload, head...), '\n'), p.body...)
-	return frame(patchVersion, payload), nil
+	return etl.Frame(patchVersion, payload), nil
 }
 
 func recordName(num int64) string { return fmt.Sprintf("patch-%d", num) }
@@ -279,7 +255,7 @@ func (gs *genStore) loadGen(dir string) (*genManifest, *relstore.Rows, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("manifest unreadable: %w", err)
 	}
-	payload, err := unframe(b, genManifestVersion, "manifest")
+	payload, err := etl.Unframe(b, genManifestVersion, "manifest")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,7 +291,7 @@ func (gs *genStore) applyRecord(rec *recoveredGen, num int64) error {
 	if err != nil {
 		return err
 	}
-	payload, err := unframe(b, patchVersion, "record")
+	payload, err := etl.Unframe(b, patchVersion, "record")
 	if err != nil {
 		return err
 	}

@@ -98,7 +98,7 @@ func rowLines(t *testing.T, tb *relstore.Table) []string {
 func TestGenStoreSaveRecoverRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	reg := obs.NewObserver().Metrics
-	gs := newGenStore(etl.OSFS{}, root, 2, func() *obs.Registry { return reg }, t.Logf)
+	gs := newGenStore(etl.OSFS{}, root, func() *obs.Registry { return reg }, t.Logf)
 
 	for n, rows := range map[int64]int{1: 4, 2: 5} {
 		if err := gs.save(storeGen(t, n, rows), n); err != nil {
@@ -219,7 +219,7 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 			metrics := func() *obs.Registry { return reg }
 
 			// Gen 1 is always saved cleanly: the last known-good base.
-			clean := newGenStore(etl.OSFS{}, root, 2, metrics, t.Logf)
+			clean := newGenStore(etl.OSFS{}, root, metrics, t.Logf)
 			g := storeGen(t, 1, 4)
 			if err := clean.save(g, 1); err != nil {
 				t.Fatalf("clean save: %v", err)
@@ -229,7 +229,7 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 			// The faulted generation is saved through the fault-injecting
 			// FS. A silent fault reports success here — mimicking a crash
 			// right after the write, before any GC could run.
-			faultyStore := newGenStore(faulty.NewFS(etl.OSFS{}, tc.saveFaults...), root, 2, metrics, t.Logf)
+			faultyStore := newGenStore(faulty.NewFS(etl.OSFS{}, tc.saveFaults...), root, metrics, t.Logf)
 			var werr error
 			switch tc.chain {
 			case "":
@@ -265,7 +265,7 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 			if len(tc.recoverFaults) > 0 {
 				rfs = faulty.NewFS(etl.OSFS{}, tc.recoverFaults...)
 			}
-			rec, rerr := newGenStore(rfs, root, 2, metrics, t.Logf).recover("warehouse_t")
+			rec, rerr := newGenStore(rfs, root, metrics, t.Logf).recover("warehouse_t")
 			if rerr != nil || rec == nil {
 				t.Fatalf("recover = %v, %v", rec, rerr)
 			}
@@ -522,17 +522,33 @@ func TestDeltaAndFullRefreshPersistSameTable(t *testing.T) {
 	}
 }
 
-// TestRecoveryReordersShuffledTable recovers a generation whose table.rel
-// holds its rows out of canonical order, as files written before
-// generations were ordered do, and requires the same extracts as the
-// canonical generation it was shuffled from.
+// TestRecoveryReordersShuffledTable recovers a base in the layout written
+// before v1 rows became the only one: its table.rel is a v2 segment file,
+// and its rows are out of canonical order, as in files written before
+// generations were ordered. Recovery must serve the extracts of the
+// canonical generation it was shuffled from. A data-changing delta tick
+// must then append a patch record to that same v2 base, and a second
+// restart must replay it to the same extracts again.
 func TestRecoveryReordersShuffledTable(t *testing.T) {
 	d := deployWorkload(t, 13, 40)
 	r := rand.New(rand.NewSource(13))
 	canonical := checkExtracts(t, r, d, "canonical")
 
-	// Rewrite the persisted generation in place with its rows shuffled.
 	g := d.st.cur.Load()
+	tablePath := filepath.Join(g.dir, "table.rel")
+	firstByte := func() byte {
+		b, err := os.ReadFile(tablePath)
+		if err != nil || len(b) == 0 {
+			t.Fatalf("read %s: %d bytes, %v", tablePath, len(b), err)
+		}
+		return b[0]
+	}
+	if c := firstByte(); c != '[' {
+		t.Fatalf("a new base's table.rel starts with %q, want v1's '['", c)
+	}
+
+	// Rewrite the persisted generation in place as a v2 file of 16-row
+	// segments, its rows shuffled.
 	man := persistedManifest(t, d.st)
 	rows := g.table.Rows()
 	shuffled := rows.Clone()
@@ -552,13 +568,10 @@ func TestRecoveryReordersShuffledTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload = append(payload, '\n')
-	sum := sha256.Sum256(payload)
-	manifest := genManifestVersion + "\nsha256 " + hex.EncodeToString(sum[:]) + "\n" + string(payload)
-	if err := os.WriteFile(filepath.Join(g.dir, man.Table), table.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tablePath, table.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(g.dir, "MANIFEST"), []byte(manifest), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(g.dir, "MANIFEST"), etl.Frame(genManifestVersion, append(payload, '\n')), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -574,6 +587,38 @@ func TestRecoveryReordersShuffledTable(t *testing.T) {
 		params, _ := url.ParseQuery(q)
 		if got := d.extract(t, params); !bytes.Equal(got, want) {
 			t.Fatalf("extract %s after recovering the shuffled file\n got  %s\n want %s", q, got, want)
+		}
+	}
+
+	if err := workload.Apply(d.contribs, workload.RandomBatch(d.contribs, 131, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.srv.refresh(context.Background(), d.st, etl.DeltaRefresh, "test"); err != nil {
+		t.Fatal(err)
+	}
+	next := d.st.cur.Load()
+	if next.num <= rec.num || next.dir != g.dir {
+		t.Fatalf("delta tick left generation %d in %q, want a later one in the v2 base %s", next.num, next.dir, g.dir)
+	}
+	if _, err := os.Stat(filepath.Join(g.dir, recordName(next.num))); err != nil {
+		t.Fatalf("delta tick wrote no record over the v2 base: %v", err)
+	}
+	if c := firstByte(); c != '{' {
+		t.Fatalf("the v2 base's table.rel now starts with %q; a record must leave it as it was", c)
+	}
+	ticked := checkExtracts(t, r, d, "after the delta tick")
+
+	d.start(t)
+	if got := d.srv.metrics().Counter("serve.snapshot.recovered").Value(); got != 1 {
+		t.Fatalf("second restart: serve.snapshot.recovered = %d, want 1", got)
+	}
+	if got := d.st.cur.Load().num; got != next.num {
+		t.Fatalf("second restart recovered generation %d, want %d", got, next.num)
+	}
+	for q, want := range ticked {
+		params, _ := url.ParseQuery(q)
+		if got := d.extract(t, params); !bytes.Equal(got, want) {
+			t.Fatalf("extract %s after replaying the record over the v2 base\n got  %s\n want %s", q, got, want)
 		}
 	}
 }
@@ -780,7 +825,7 @@ func TestFailedRecordNextPersistWritesBase(t *testing.T) {
 func TestRecoveryRejectsDigestMismatch(t *testing.T) {
 	root := t.TempDir()
 	reg := obs.NewObserver().Metrics
-	gs := newGenStore(etl.OSFS{}, root, 2, func() *obs.Registry { return reg }, t.Logf)
+	gs := newGenStore(etl.OSFS{}, root, func() *obs.Registry { return reg }, t.Logf)
 	g1 := storeGen(t, 1, 4)
 	if err := gs.save(g1, 1); err != nil {
 		t.Fatal(err)
@@ -803,7 +848,7 @@ func TestRecoveryRejectsDigestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := unframe(b, patchVersion, "record")
+	payload, err := etl.Unframe(b, patchVersion, "record")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -817,7 +862,7 @@ func TestRecoveryRejectsDigestMismatch(t *testing.T) {
 	if !bytes.Contains(payload, line(5)) {
 		t.Fatal("record 4 does not insert key 5")
 	}
-	if err := os.WriteFile(path, frame(patchVersion, bytes.Replace(payload, line(5), line(6), 1)), 0o644); err != nil {
+	if err := os.WriteFile(path, etl.Frame(patchVersion, bytes.Replace(payload, line(5), line(6), 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -843,7 +888,7 @@ func TestRecoveryRejectsDigestMismatch(t *testing.T) {
 func TestRecoveryReadsManifestWithoutDigest(t *testing.T) {
 	root := t.TempDir()
 	reg := obs.NewObserver().Metrics
-	gs := newGenStore(etl.OSFS{}, root, 2, func() *obs.Registry { return reg }, t.Logf)
+	gs := newGenStore(etl.OSFS{}, root, func() *obs.Registry { return reg }, t.Logf)
 	g := storeGen(t, 3, 5)
 	if err := gs.save(g, 7); err != nil {
 		t.Fatal(err)
@@ -859,7 +904,7 @@ func TestRecoveryReadsManifestWithoutDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(g.dir, "MANIFEST"), frame(genManifestVersion, append(old, '\n')), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(g.dir, "MANIFEST"), etl.Frame(genManifestVersion, append(old, '\n')), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := gs.recover("warehouse_t")

@@ -284,8 +284,7 @@ func (s *Server) register(spec *etl.StudySpec) (*servedStudy, error) {
 		st.slots = make(chan struct{}, s.cfg.MaxPerStudy)
 	}
 	if s.cfg.WarehouseDir != "" {
-		st.store = newGenStore(s.cfg.FS, filepath.Join(s.cfg.WarehouseDir, spec.Name),
-			relstore.DefaultSegmentRows, s.metrics, s.cfg.Logf)
+		st.store = newGenStore(s.cfg.FS, filepath.Join(s.cfg.WarehouseDir, spec.Name), s.metrics, s.cfg.Logf)
 		s.recoverStudy(st)
 	}
 
