@@ -9,6 +9,8 @@ package guava
 //	BenchmarkClassifierEval   — F5: classifier evaluation throughput
 //	BenchmarkStudyCompile     — F6: study → ETL compilation
 //	BenchmarkStudyRun/*       — F6/A3: end-to-end workflow execution scaling
+//	BenchmarkStackRead/*      — A3: one whole-relation pattern-stack read per
+//	                            reference contributor
 //	BenchmarkMaterialize/*    — F7/A1: materialization strategies vs the
 //	                            classifier/domain ratio
 //	BenchmarkGeneratedVsHand  — A2: generated workflow vs expert hand ETL
@@ -240,6 +242,27 @@ func BenchmarkStudyRun(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := compiled.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStackRead times one whole-relation read through each reference
+// contributor's pattern stack at 5000 records: Stack.ReadDiverting with no
+// key scope, the read each extract of a full refresh runs (A3).
+func BenchmarkStackRead(b *testing.B) {
+	const n = 5000
+	notes, err := workload.BuildNotes(99, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range append(benchContribs(b, n), notes) {
+		b.Run(c.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.Stack.ReadDiverting(context.Background(), c.DB, c.Info, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

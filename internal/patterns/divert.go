@@ -137,6 +137,16 @@ func KeyConjuncts(form FormInfo, where relstore.Pred) (relstore.Pred, bool) {
 	return relstore.And(keyed...), len(keyed) == len(all)
 }
 
+// selectFrom fetches the rows of the named table that pred selects (nil:
+// every row), the physical scan behind every layout's Read.
+func selectFrom(db *relstore.DB, table string, pred relstore.Pred) (*relstore.Rows, error) {
+	t, err := db.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	return t.Select(pred)
+}
+
 // strict turns a diverting read's first miss into the read's error.
 func strict(rows *relstore.Rows, misses []SourceMiss, err error) (*relstore.Rows, error) {
 	if err == nil {

@@ -83,32 +83,20 @@ func (e *Encode) Encode(_ *relstore.DB, outer, _ FormInfo, row relstore.Row) (re
 
 // Decode implements Transform.
 func (e *Encode) Decode(_ *relstore.DB, outer, inner FormInfo, rows *relstore.Rows) (*relstore.Rows, error) {
-	ordered, err := relstore.Project(rows, inner.Schema.Names()...)
-	if err != nil {
-		return nil, err
-	}
 	tc, fc := e.codes()
-	data := make([]relstore.Row, len(ordered.Data))
-	for r, row := range ordered.Data {
-		nr := make(relstore.Row, len(row))
-		for i, v := range row {
-			if outer.Schema.Columns[i].Type == relstore.KindBool && !v.IsNull() {
-				switch v.Display() {
-				case tc:
-					nr[i] = relstore.Bool(true)
-				case fc:
-					nr[i] = relstore.Bool(false)
-				default:
-					return nil, fmt.Errorf("encode: column %q holds %q, expected %q or %q",
-						outer.Schema.Columns[i].Name, v.Display(), tc, fc)
-				}
-			} else {
-				nr[i] = v
-			}
+	return mapCells(rows, inner.Schema.Names(), outer.Schema, func(i int, v relstore.Value) (relstore.Value, error) {
+		if outer.Schema.Columns[i].Type != relstore.KindBool || v.IsNull() {
+			return v, nil
 		}
-		data[r] = nr
-	}
-	return &relstore.Rows{Schema: outer.Schema, Data: data}, nil
+		switch v.Display() {
+		case tc:
+			return relstore.Bool(true), nil
+		case fc:
+			return relstore.Bool(false), nil
+		}
+		return v, fmt.Errorf("encode: column %q holds %q, expected %q or %q",
+			outer.Schema.Columns[i].Name, v.Display(), tc, fc)
+	})
 }
 
 // AdaptUpdate implements Transform.

@@ -87,37 +87,23 @@ func (g Generic) Write(db *relstore.DB, form FormInfo, row relstore.Row) error {
 	return nil
 }
 
-// Read implements Layout: un-pivot the EAV rows and left-join onto the
-// entity anchors so all-NULL instances survive. Both tables are fetched
+// Read implements Layout: un-pivot the EAV rows and attach them to the
+// entity anchors in one pass, as a left join of the anchors with the
+// un-pivoted rows would, so all-NULL instances survive: the anchors with
+// EAV rows in anchor order, then those without; EAV rows without an anchor
+// drop out. The rows come back key column first. Both tables are fetched
 // with the key conjuncts of where (index probes), so the read is exact
 // when where is a key predicate.
 func (g Generic) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
-	et, err := db.Table(entityTable(form))
-	if err != nil {
-		return nil, false, err
-	}
-	vt, err := db.Table(eavTable(form))
-	if err != nil {
-		return nil, false, err
-	}
 	keyed, exact := KeyConjuncts(form, where)
-	entities, err := et.Select(keyed)
+	entities, err := selectFrom(db, entityTable(form), keyed)
 	if err != nil {
 		return nil, false, err
 	}
-	eav, err := vt.Select(keyed)
+	eav, err := selectFrom(db, eavTable(form), keyed)
 	if err != nil {
 		return nil, false, err
 	}
-	rows, err := g.assemble(form, entities, eav)
-	if err != nil {
-		return nil, false, err
-	}
-	return rows, exact, nil
-}
-
-// assemble reconstructs the naive relation from entity anchors and EAV rows.
-func (g Generic) assemble(form FormInfo, entities, eav *relstore.Rows) (*relstore.Rows, error) {
 	var attrs []relstore.Column
 	for _, c := range form.Schema.Columns {
 		if c.Name != form.KeyColumn {
@@ -126,13 +112,24 @@ func (g Generic) assemble(form FormInfo, entities, eav *relstore.Rows) (*relstor
 	}
 	wide, err := relstore.Unpivot(eav, []string{form.KeyColumn}, "Attribute", "Value", attrs)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	joined, err := relstore.LeftJoin(entities, wide, form.KeyColumn, form.KeyColumn, "v")
-	if err != nil {
-		return nil, err
+	// Keys are INTEGER NOT NULL (entitySchema, eavSchema): AsInt matches
+	// them exactly, and Unpivot left one row per key.
+	byKey := make(map[int64]relstore.Row, len(wide.Data))
+	for _, r := range wide.Data {
+		byKey[r[0].AsInt()] = r
 	}
-	return relstore.Project(joined, form.Schema.Names()...)
+	out := make([]relstore.Row, 0, len(entities.Data))
+	var bare []relstore.Row
+	for _, e := range entities.Data {
+		if r, ok := byKey[e[0].AsInt()]; ok {
+			out = append(out, r)
+		} else {
+			bare = append(bare, append(relstore.Row{e[0]}, make(relstore.Row, len(attrs))...))
+		}
+	}
+	return &relstore.Rows{Schema: wide.Schema, Data: append(out, bare...)}, exact, nil
 }
 
 // Update implements Layout: rewrite the EAV row for (key, col), inserting or

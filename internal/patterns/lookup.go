@@ -145,40 +145,24 @@ func (l *Lookup) Decode(db *relstore.DB, outer, inner FormInfo, rows *relstore.R
 	if err != nil {
 		return nil, err
 	}
-	src := make([]int, inner.Schema.Arity())
-	isCoded := make([]bool, len(src))
-	for i, c := range inner.Schema.Columns {
-		if _, err := rows.Schema.Col(c.Name); err != nil {
-			return nil, err
+	labels := make([]map[int64]string, outer.Schema.Arity()) // nil for an uncoded column
+	for i, c := range outer.Schema.Columns {
+		if coded[c.Name] {
+			if labels[i], err = l.labels(db, outer, c.Name); err != nil {
+				return nil, err
+			}
 		}
-		src[i] = rows.Schema.Index(c.Name)
-		isCoded[i] = coded[outer.Schema.Columns[i].Name]
 	}
-	labels := make([]map[int64]string, len(src)) // per coded column, read on first use
-	data := make([]relstore.Row, len(rows.Data))
-	for r, row := range rows.Data {
-		nr := make(relstore.Row, len(src))
-		for i, j := range src {
-			v := row[j]
-			if !isCoded[i] || v.IsNull() {
-				nr[i] = v
-				continue
-			}
-			name := outer.Schema.Columns[i].Name
-			if labels[i] == nil {
-				if labels[i], err = l.labels(db, outer, name); err != nil {
-					return nil, err
-				}
-			}
-			label, ok := labels[i][v.AsInt()]
-			if !ok {
-				return nil, fmt.Errorf("lookup: dangling code %d in %s", v.AsInt(), lookupTable(outer, name))
-			}
-			nr[i] = relstore.Str(label)
+	return mapCells(rows, inner.Schema.Names(), outer.Schema, func(i int, v relstore.Value) (relstore.Value, error) {
+		if labels[i] == nil || v.IsNull() {
+			return v, nil
 		}
-		data[r] = nr
-	}
-	return &relstore.Rows{Schema: outer.Schema, Data: data}, nil
+		label, ok := labels[i][v.AsInt()]
+		if !ok {
+			return v, fmt.Errorf("lookup: dangling code %d in %s", v.AsInt(), lookupTable(outer, outer.Schema.Columns[i].Name))
+		}
+		return relstore.Str(label), nil
+	})
 }
 
 // labels reads one dimension table into a code→label map; a code stored

@@ -41,11 +41,7 @@ func (Naive) Write(db *relstore.DB, form FormInfo, row relstore.Row) error {
 // Read implements Layout: the table scan evaluates where, probing the key
 // index Install created for a key equality or IN, so the read is exact.
 func (Naive) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
-	t, err := db.Table(form.Name)
-	if err != nil {
-		return nil, false, err
-	}
-	rows, err := t.Select(where)
+	rows, err := selectFrom(db, form.Name, where)
 	if err != nil {
 		return nil, false, err
 	}

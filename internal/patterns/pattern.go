@@ -309,31 +309,57 @@ func (s *Sink) WriteRecord(form *ui.Form, values map[string]relstore.Value) erro
 
 // Conform reorders and retypes a relation to match the target schema by
 // column name. Pattern round trips may lose column order or nullability;
-// Conform restores the naive-schema contract.
+// Conform restores the naive-schema contract. When the columns already
+// stand in target order and every cell is NULL or of its column's kind, it
+// returns the input rows themselves under the target schema.
 func Conform(rows *relstore.Rows, target *relstore.Schema) (*relstore.Rows, error) {
-	idx := make([]int, target.Arity())
+	same := rows.Schema.Arity() == target.Arity()
 	for i, c := range target.Columns {
 		j := rows.Schema.Index(c.Name)
 		if j < 0 {
 			return nil, fmt.Errorf("patterns: conform: missing column %q (have %s)", c.Name, rows.Schema.NameList())
 		}
-		idx[i] = j
+		same = same && j == i
 	}
-	out := make([]relstore.Row, len(rows.Data))
-	for r, row := range rows.Data {
-		nr := make(relstore.Row, target.Arity())
-		for i, j := range idx {
-			v := row[j]
-			if !v.IsNull() && v.Kind() != target.Columns[i].Type {
-				cv, err := relstore.Coerce(v, target.Columns[i].Type)
-				if err != nil {
-					return nil, fmt.Errorf("patterns: conform %q: %w", target.Columns[i].Name, err)
-				}
-				v = cv
-			}
-			nr[i] = v
+	for r := 0; same && r < len(rows.Data); r++ {
+		for i, v := range rows.Data[r] {
+			same = same && (v.IsNull() || v.Kind() == target.Columns[i].Type)
 		}
-		out[r] = nr
 	}
-	return &relstore.Rows{Schema: target, Data: out}, nil
+	if same {
+		return &relstore.Rows{Schema: target, Data: rows.Data}, nil
+	}
+	return mapCells(rows, target.Names(), target, func(i int, v relstore.Value) (relstore.Value, error) {
+		c := target.Columns[i]
+		if v.IsNull() || v.Kind() == c.Type {
+			return v, nil
+		}
+		cv, err := relstore.Coerce(v, c.Type)
+		if err != nil {
+			return v, fmt.Errorf("patterns: conform %q: %w", c.Name, err)
+		}
+		return cv, nil
+	})
+}
+
+// mapCells reorders rows to the named columns and writes one new row per
+// record under schema, each cell rewritten by fn, which gets the cell's
+// position in names. The first error fails the call. Conform and the
+// per-cell decodes (Sentinel, Encode, Lookup) run on it.
+func mapCells(rows *relstore.Rows, names []string, schema *relstore.Schema, fn func(i int, v relstore.Value) (relstore.Value, error)) (*relstore.Rows, error) {
+	ordered, err := relstore.Project(rows, names...)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]relstore.Row, len(ordered.Data))
+	for r, row := range ordered.Data {
+		nr := make(relstore.Row, len(row))
+		for i, v := range row {
+			if nr[i], err = fn(i, v); err != nil {
+				return nil, err
+			}
+		}
+		data[r] = nr
+	}
+	return &relstore.Rows{Schema: schema, Data: data}, nil
 }

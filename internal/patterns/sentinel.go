@@ -154,24 +154,12 @@ func (s *Sentinel) Encode(_ *relstore.DB, outer, _ FormInfo, row relstore.Row) (
 
 // Decode implements Transform.
 func (s *Sentinel) Decode(_ *relstore.DB, outer, inner FormInfo, rows *relstore.Rows) (*relstore.Rows, error) {
-	ordered, err := relstore.Project(rows, inner.Schema.Names()...)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]relstore.Row, len(ordered.Data))
-	for r, row := range ordered.Data {
-		nr := make(relstore.Row, len(row))
-		for i, v := range row {
-			c := outer.Schema.Columns[i]
-			if c.Name == outer.KeyColumn {
-				nr[i] = v
-				continue
-			}
-			nr[i] = s.decodeValue(c.Type, v)
+	return mapCells(rows, inner.Schema.Names(), outer.Schema, func(i int, v relstore.Value) (relstore.Value, error) {
+		if c := outer.Schema.Columns[i]; c.Name != outer.KeyColumn {
+			v = s.decodeValue(c.Type, v)
 		}
-		data[r] = nr
-	}
-	return &relstore.Rows{Schema: outer.Schema, Data: data}, nil
+		return v, nil
+	})
 }
 
 // AdaptUpdate implements Transform.

@@ -38,11 +38,7 @@ func (s *Split) partition(form FormInfo) ([][]string, error) {
 		// Auto-split: two columns per part table.
 		var parts [][]string
 		for i := 0; i < len(nonKey); i += 2 {
-			end := i + 2
-			if end > len(nonKey) {
-				end = len(nonKey)
-			}
-			parts = append(parts, nonKey[i:end])
+			parts = append(parts, nonKey[i:min(i+2, len(nonKey))])
 		}
 		if len(parts) == 0 {
 			parts = [][]string{{}}
@@ -133,55 +129,70 @@ func (s *Split) Write(db *relstore.DB, form FormInfo, row relstore.Row) error {
 	return nil
 }
 
-// Read implements Layout. It joins the part tables on the key (the paper's
-// Join transformation); each part contributes only the rows the key
-// conjuncts of where select (index probes), so the read is exact when
-// where is a key predicate.
+// Read implements Layout: the paper's Join transformation as one n-way key
+// join. Each part table is fetched once with the key conjuncts of where
+// (index probes), so the read is exact when where is a key predicate, and
+// each output row is written once, in the form's column order. Rows follow
+// part 0's storage order and, within one record, every combination of the
+// later parts' matches in their storage order, the last part's fastest:
+// the order of a left-deep chain of binary joins, cross products included.
 func (s *Split) Read(_ context.Context, db *relstore.DB, form FormInfo, where relstore.Pred, _ func(SourceMiss)) (*relstore.Rows, bool, error) {
 	parts, err := s.partition(form)
 	if err != nil {
 		return nil, false, err
 	}
 	keyed, exact := KeyConjuncts(form, where)
-	var acc *relstore.Rows
-	for i := range parts {
-		t, err := db.Table(partTable(form, i))
+	out := &relstore.Rows{Schema: form.Schema}
+	// Part keys are INTEGER NOT NULL (partSchema), so AsInt matches them
+	// exactly. For part i, at[i] maps each column to its form position;
+	// from part 1 on, head[i] maps a key to 1 + the first row holding it
+	// (0: none) and next[i] chains each row to the next one with its key
+	// (-1: none), in storage order.
+	data, at := make([][]relstore.Row, len(parts)), make([][]int, len(parts))
+	head, next := make([]map[int64]int, len(parts)), make([][]int, len(parts))
+	for i, part := range parts {
+		rows, err := selectFrom(db, partTable(form, i), keyed)
 		if err != nil {
 			return nil, false, err
 		}
-		rows, err := t.Select(keyed)
-		if err != nil {
-			return nil, false, err
+		data[i], at[i] = rows.Data, []int{form.Schema.Index(form.KeyColumn)}
+		for _, col := range part {
+			at[i] = append(at[i], form.Schema.Index(col))
 		}
-		if acc == nil {
-			acc = rows
+		if i == 0 {
 			continue
 		}
-		joined, err := relstore.Join(acc, rows, form.KeyColumn, form.KeyColumn, fmt.Sprintf("p%d", i))
-		if err != nil {
-			return nil, false, err
+		head[i], next[i] = make(map[int64]int, len(rows.Data)), make([]int, len(rows.Data))
+		for j := len(rows.Data) - 1; j >= 0; j-- {
+			k := rows.Data[j][0].AsInt()
+			next[i][j], head[i][k] = head[i][k]-1, j+1
 		}
-		// Drop the duplicated key column from the right side.
-		keep := make([]string, 0, joined.Schema.Arity()-1)
-		dup := fmt.Sprintf("p%d_%s", i, form.KeyColumn)
-		for _, n := range joined.Schema.Names() {
-			if n != dup {
-				keep = append(keep, n)
+	}
+	if len(parts) == 0 {
+		return out, exact, nil
+	}
+	row := make(relstore.Row, form.Schema.Arity())
+	var join func(i int, key int64)
+	join = func(i int, key int64) {
+		if i == len(parts) {
+			out.Data = append(out.Data, row.Clone())
+			return
+		}
+		for j := head[i][key] - 1; j >= 0; j = next[i][j] {
+			for c, p := range at[i] {
+				row[p] = data[i][j][c]
 			}
-		}
-		acc, err = relstore.Project(joined, keep...)
-		if err != nil {
-			return nil, false, err
+			join(i+1, key)
 		}
 	}
-	if acc == nil {
-		return &relstore.Rows{Schema: form.Schema}, exact, nil
+	out.Data = make([]relstore.Row, 0, len(data[0]))
+	for _, r := range data[0] {
+		for c, p := range at[0] {
+			row[p] = r[c]
+		}
+		join(1, r[0].AsInt())
 	}
-	rows, err := relstore.Project(acc, form.Schema.Names()...)
-	if err != nil {
-		return nil, false, err
-	}
-	return rows, exact, nil
+	return out, exact, nil
 }
 
 // Update implements Layout: the change lands in whichever part table holds

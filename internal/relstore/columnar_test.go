@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -31,7 +32,8 @@ func strictValEq(a, b Value) bool {
 	case KindInt:
 		return a.AsInt() == b.AsInt()
 	case KindFloat:
-		return a.AsFloat() == b.AsFloat()
+		x, y := a.AsFloat(), b.AsFloat()
+		return x == y || (x != x && y != y)
 	case KindString:
 		return a.AsString() == b.AsString()
 	default:
@@ -234,7 +236,7 @@ func probes(tb *Table, pred Pred) bool {
 
 // checkEverywhere holds every predicate scan of pred over in to refSelect:
 // the Select operator; Table.SelectPage, whole and one short page, on a
-// table with no index (always the scan path) and on one indexed on K and N
+// table with no index (always the scan path) and on one indexed on K, N and X
 // (the probe path whenever pred has an indexable conjunct); Table.Delete on
 // clones of both, which must remove exactly the matches or, on error,
 // nothing; and Table.Update on clones of both, the indexed one ordered on
@@ -247,7 +249,7 @@ func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 		t.Fatalf("%s: Select: %v", label, e)
 	}
 	plain, indexed := NewTable("T", in.Schema), NewTable("T", in.Schema)
-	for _, col := range []string{"K", "N"} {
+	for _, col := range []string{"K", "N", "X"} {
 		if err := indexed.CreateIndex(col); err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +374,7 @@ func checkUpdate(t *testing.T, label string, c *Table, pred Pred, failAt int) {
 	if e := strictRowsEq(c.Rows(), want); e != nil {
 		t.Fatalf("%s: Update %s (error %v) left the wrong rows: %v", label, pred.SQL(), err, e)
 	}
-	for _, col := range []string{"K", "N"} {
+	for _, col := range []string{"K", "N", "X"} {
 		ci := want.Schema.Index(col)
 		var probed []Value
 		for _, r := range want.Data {
@@ -396,15 +398,23 @@ func checkUpdate(t *testing.T, label string, c *Table, pred Pred, failAt int) {
 
 func TestColumnarSelectEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	zeros := []Value{Float(0), Float(math.Copysign(0, -1))}
 	for trial := 0; trial < 60; trial++ {
 		in := randRelation(r, r.Intn(150))
+		// ±0 in the REAL column, which the indexed table indexes: an
+		// index probe must find -0 under 0 as a scan does.
+		for _, row := range in.Data {
+			if r.Intn(6) == 0 {
+				row[3] = zeros[r.Intn(2)]
+			}
+		}
 		pred := randPred(r, 3)
 		checkEverywhere(t, fmt.Sprintf("trial %d", trial), in, pred)
 	}
 }
 
-// refJoin is a sequential nested-loop inner join: NULL keys never match,
-// output in left order then right order.
+// refJoin is a sequential nested-loop inner join on Value.Equal: NULL keys
+// never match, output in left order then right order.
 func refJoin(left, right *Rows, leftCol, rightCol, prefix string) (*Rows, error) {
 	schema, err := joinSchema(left.Schema, right.Schema, prefix)
 	if err != nil {
@@ -417,40 +427,13 @@ func refJoin(left, right *Rows, leftCol, rightCol, prefix string) (*Rows, error)
 			continue
 		}
 		for _, rr := range right.Data {
-			if !rr[ri].IsNull() && lr[li].Key() == rr[ri].Key() {
+			if !rr[ri].IsNull() && lr[li].Equal(rr[ri]) {
 				nr := append(append(make(Row, 0, schema.Arity()), lr...), rr...)
 				out = append(out, nr)
 			}
 		}
 	}
 	return &Rows{Schema: schema, Data: out}, nil
-}
-
-func refLeftJoin(left, right *Rows, leftCol, rightCol, prefix string) (*Rows, error) {
-	inner, err := refJoin(left, right, leftCol, rightCol, prefix)
-	if err != nil {
-		return nil, err
-	}
-	li, ri := left.Schema.Index(leftCol), right.Schema.Index(rightCol)
-	for _, lr := range left.Data {
-		matched := false
-		if !lr[li].IsNull() {
-			for _, rr := range right.Data {
-				if !rr[ri].IsNull() && lr[li].Key() == rr[ri].Key() {
-					matched = true
-					break
-				}
-			}
-		}
-		if !matched {
-			nr := append(make(Row, 0, inner.Schema.Arity()), lr...)
-			for i := 0; i < right.Schema.Arity(); i++ {
-				nr = append(nr, Null())
-			}
-			inner.Data = append(inner.Data, nr)
-		}
-	}
-	return inner, nil
 }
 
 func TestColumnarJoinEquivalence(t *testing.T) {
@@ -462,10 +445,6 @@ func TestColumnarJoinEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantL, err := refLeftJoin(left, right, "K", "K", "r")
-		if err != nil {
-			t.Fatal(err)
-		}
 		gotJ, err := Join(left, right, "K", "K", "r")
 		if err != nil {
 			t.Fatal(err)
@@ -473,12 +452,122 @@ func TestColumnarJoinEquivalence(t *testing.T) {
 		if err := strictRowsEq(gotJ, wantJ); err != nil {
 			t.Fatalf("trial %d join: %v", trial, err)
 		}
-		gotL, err := LeftJoin(left, right, "K", "K", "r")
+	}
+}
+
+// keyPool holds the cells on which hash keys and Value.Equal are easiest
+// to get out of step: ±0, NaN, ints past 2^53 that share a float64, an int
+// and a float that are Equal, and kinds that must never meet.
+var keyPool = []Value{
+	Null(), Null(), Null(),
+	Int(0), Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()),
+	Int(1 << 60), Int(1<<60 + 1), Int(1<<60 + 2), Float(1 << 60),
+	Int(2), Float(2), Str("2"), Str(""), Bool(true), Bool(false),
+}
+
+// keyRelation is a NULL-dense, mixed-kind relation for the hash-operator
+// oracles: key columns K1 and K2 drawn from keyPool, an attribute name A
+// from a small set (NULL and an unknown name included) and a TEXT value V.
+func keyRelation(r *rand.Rand, n int) *Rows {
+	schema := MustSchema(
+		Column{Name: "K1", Type: KindNull},
+		Column{Name: "K2", Type: KindNull},
+		Column{Name: "A", Type: KindString},
+		Column{Name: "V", Type: KindString},
+		Column{Name: "ID", Type: KindInt},
+	)
+	attrs := []Value{Str("P"), Str("Q"), Str("nope"), Null()}
+	data := make([]Row, n)
+	for i := range data {
+		v := Null()
+		if r.Intn(3) > 0 {
+			v = Str(fmt.Sprint(r.Intn(9)))
+		}
+		data[i] = Row{keyPool[r.Intn(len(keyPool))], keyPool[r.Intn(len(keyPool))], attrs[r.Intn(len(attrs))], v, Int(int64(i))}
+	}
+	return &Rows{Schema: schema, Data: data}
+}
+
+// refUnpivot is Unpivot as a nested loop on Value.Equal: each row folds
+// into the first earlier output row whose key cells are pairwise Equal to
+// its own.
+func refUnpivot(in *Rows, keyCols []string, attrs []Column) (*Rows, error) {
+	cols := make([]Column, 0, len(keyCols)+len(attrs))
+	keyIdx := make([]int, len(keyCols))
+	for i, k := range keyCols {
+		keyIdx[i] = in.Schema.Index(k)
+		cols = append(cols, in.Schema.Columns[keyIdx[i]])
+	}
+	for _, a := range attrs {
+		cols = append(cols, Column{Name: a.Name, Type: a.Type})
+	}
+	schema := MustSchema(cols...)
+	var out []Row
+	for _, row := range in.Data {
+		pos := -1
+		for p, o := range out {
+			if keysEqual(o, row, keyIdx) {
+				pos = p
+				break
+			}
+		}
+		if pos < 0 {
+			nr := make(Row, len(cols))
+			for i, k := range keyIdx {
+				nr[i] = row[k]
+			}
+			pos = len(out)
+			out = append(out, nr)
+		}
+		for i, a := range attrs {
+			if row[2].IsNull() || row[2].AsString() != a.Name {
+				continue
+			}
+			v := row[3]
+			if !v.IsNull() {
+				var err error
+				if v, err = Coerce(v, a.Type); err != nil {
+					return nil, err
+				}
+			}
+			out[pos][len(keyIdx)+i] = v
+		}
+	}
+	return &Rows{Schema: schema, Data: out}, nil
+}
+
+// TestHashOperatorsMatchEqualOracles holds Join and Unpivot, which hash
+// typed keys, to nested-loop oracles that compare with Value.Equal alone:
+// -0 meets +0 and Int(2) meets Float(2), NaN meets nothing, and the ints
+// 2^60, 2^60+1 and 2^60+2, which share one float64 hash key, stay apart.
+func TestHashOperatorsMatchEqualOracles(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	attrs := []Column{{Name: "P", Type: KindInt}, {Name: "Q", Type: KindString}}
+	for trial := 0; trial < 200; trial++ {
+		left, right := keyRelation(r, r.Intn(40)), keyRelation(r, r.Intn(40))
+		want, err := refJoin(left, right, "K1", "K2", "r")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := strictRowsEq(gotL, wantL); err != nil {
-			t.Fatalf("trial %d left join: %v", trial, err)
+		got, err := Join(left, right, "K1", "K2", "r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := strictRowsEq(got, want); err != nil {
+			t.Fatalf("trial %d: Join: %v", trial, err)
+		}
+		for _, keys := range [][]string{{"K1"}, {"K1", "K2"}} {
+			want, wantErr := refUnpivot(left, keys, attrs)
+			got, err := Unpivot(left, keys, "A", "V", attrs)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d: Unpivot by %v: error %v, want %v", trial, keys, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if err := strictRowsEq(got, want); err != nil {
+				t.Fatalf("trial %d: Unpivot by %v: %v", trial, keys, err)
+			}
 		}
 	}
 }

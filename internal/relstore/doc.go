@@ -28,6 +28,32 @@
 // row changed under it (rowcheck.go); the default build compiles that
 // check to nothing.
 //
+// The same rule lets an operator that would only copy return its input
+// rows. [Project] over the input's own columns in order returns them in a
+// new [Rows] that shares the slice, and patterns.Conform does the same
+// when the columns already stand in the target order and every cell is
+// NULL or of its column's kind, so a pattern stack whose transforms only
+// reorder, and a study output that is already conformed, cost no row
+// copies. A caller that compacts or reorders a result slice in place
+// must therefore know it owns it: the layouts' reads and [Select] always
+// return a fresh one.
+//
+// # Hash keys
+//
+// [Join], [Unpivot] and a bound IN list hash an unexported comparable key
+// (hkey) computed without allocating: a number is keyed by its float64
+// bits, with -0 folded into +0 and every NaN sharing one key, a string by
+// its bytes and a bool by its value. a.Equal(b) implies that a and b share
+// a key, but not the converse: an int past 2^53 shares its float64
+// neighbour's key, and NaN shares one key without being Equal to itself.
+// So every hit is re-checked with [Value.Equal]: Join matches the right
+// rows whose key cell is Equal to the left one (NULL never joins), Unpivot
+// folds a row into the first earlier group whose key cells are pairwise
+// Equal to its own, and col IN (list) holds exactly when [Pred.Eval] says
+// so, NULL IN (NULL) included. The hash indexes still key buckets by
+// [Value.Key], which agrees with Equal the same way, -0 included, and
+// their probes re-check the whole predicate on every candidate.
+//
 // # Execution
 //
 // Every predicate scan — [Select], [Table.Select], [Table.SelectPage],

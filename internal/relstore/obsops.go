@@ -14,7 +14,6 @@ var (
 	opExtend   = obs.Default.Counter("relstore.ops.extend")
 	opRename   = obs.Default.Counter("relstore.ops.rename")
 	opJoin     = obs.Default.Counter("relstore.ops.join")
-	opLeftJoin = obs.Default.Counter("relstore.ops.left_join")
 	opUnionAll = obs.Default.Counter("relstore.ops.union_all")
 	opUnion    = obs.Default.Counter("relstore.ops.union")
 	opDistinct = obs.Default.Counter("relstore.ops.distinct")
@@ -26,6 +25,7 @@ var (
 
 // relstore.batch.rows counts the rows that predicate scans (the Select
 // operator and Table.SelectPage's full-scan path) and the bulk operators
-// (Project, Derive, Extend, Join, Distinct, Pivot, Unpivot, GroupBy and
-// EqualUnordered, one count per pass) passed over.
+// (a Project that is not the identity, Derive, Extend, Join's build and
+// probe, Distinct, Pivot, Unpivot, GroupBy and EqualUnordered, one count
+// per pass) passed over.
 var mBatchRows = obs.Default.Counter("relstore.batch.rows")

@@ -135,9 +135,14 @@ func Select(in *Rows, pred Pred) (*Rows, error) {
 	return &Rows{Schema: in.Schema, Data: out}, nil
 }
 
-// Project keeps the named columns in the given order.
+// Project keeps the named columns in the given order. When names are the
+// input's own columns in order, it returns the input rows themselves
+// (stored rows are immutable; see Table) in a new Rows sharing the slice.
 func Project(in *Rows, names ...string) (*Rows, error) {
 	opProject.Inc()
+	if in.Schema.isNamed(names) {
+		return &Rows{Schema: in.Schema, Data: in.Data}, nil
+	}
 	schema, err := in.Schema.Project(names...)
 	if err != nil {
 		return nil, err
@@ -277,22 +282,12 @@ func joinSchema(left, right *Schema, rightPrefix string) (*Schema, error) {
 	return schema, nil
 }
 
-// joinKeys extracts the join-key string of column ci for every row; a NULL
-// key yields "" (NULL never joins, and Value.Key never returns "").
-func joinKeys(data []Row, ci int) []string {
-	return rowKeys(data, func(r Row) string {
-		if r[ci].IsNull() {
-			return ""
-		}
-		return r[ci].Key()
-	})
-}
-
 // Join performs a hash equi-join on leftCol = rightCol. Columns of the right
 // relation that collide with left names are prefixed with the right prefix
-// (prefix + "_"). The join is an inner join: the build hashes the right
-// side in row order and the probe walks the left side, so the output is in
-// left order, then right order within one left row.
+// (prefix + "_"). The join is an inner join on Value.Equal, and NULL never
+// joins: the build hashes the right side's keys (hkey), the probe walks the
+// left side and re-checks every right row sharing its hkey with Equal, so
+// the output is in left order, then right order within one left row.
 func Join(left, right *Rows, leftCol, rightCol, rightPrefix string) (*Rows, error) {
 	opJoin.Inc()
 	li := left.Schema.Index(leftCol)
@@ -307,58 +302,33 @@ func Join(left, right *Rows, leftCol, rightCol, rightPrefix string) (*Rows, erro
 	if err != nil {
 		return nil, err
 	}
-	rightKeys := joinKeys(right.Data, ri)
-	buckets := make(map[string][]int, len(right.Data))
-	for i, k := range rightKeys {
-		if k != "" {
-			buckets[k] = append(buckets[k], i)
+	// head maps a key to 1 + its first right row (0: none), and next
+	// chains each right row to the next one with its key (-1: none), in
+	// right order.
+	mBatchRows.Add(int64(len(right.Data) + len(left.Data)))
+	head := make(map[hkey]int, len(right.Data))
+	next := make([]int, len(right.Data))
+	for j := len(right.Data) - 1; j >= 0; j-- {
+		if v := right.Data[j][ri]; !v.IsNull() {
+			k := v.hkey()
+			next[j], head[k] = head[k]-1, j+1
 		}
 	}
-	leftKeys := joinKeys(left.Data, li)
-	mBatchRows.Add(int64(len(left.Data)))
 	var out []Row
-	for j, k := range leftKeys {
-		if k == "" {
+	for _, lrow := range left.Data {
+		v := lrow[li]
+		if v.IsNull() {
 			continue
 		}
-		lrow := left.Data[j]
-		for _, rj := range buckets[k] {
-			nr := make(Row, 0, schema.Arity())
-			nr = append(nr, lrow...)
-			nr = append(nr, right.Data[rj]...)
-			out = append(out, nr)
+		for j := head[v.hkey()] - 1; j >= 0; j = next[j] {
+			if rrow := right.Data[j]; v.Equal(rrow[ri]) {
+				nr := make(Row, 0, schema.Arity())
+				nr = append(nr, lrow...)
+				out = append(out, append(nr, rrow...))
+			}
 		}
 	}
 	return &Rows{Schema: schema, Data: out}, nil
-}
-
-// LeftJoin is Join but keeps unmatched left rows with NULLs on the right.
-func LeftJoin(left, right *Rows, leftCol, rightCol, rightPrefix string) (*Rows, error) {
-	opLeftJoin.Inc()
-	inner, err := Join(left, right, leftCol, rightCol, rightPrefix)
-	if err != nil {
-		return nil, err
-	}
-	li := left.Schema.Index(leftCol)
-	ri := right.Schema.Index(rightCol)
-	matched := make(map[string]bool, len(right.Data))
-	for _, k := range joinKeys(right.Data, ri) {
-		if k != "" {
-			matched[k] = true
-		}
-	}
-	for _, lrow := range left.Data {
-		if !lrow[li].IsNull() && matched[lrow[li].Key()] {
-			continue
-		}
-		nr := make(Row, 0, inner.Schema.Arity())
-		nr = append(nr, lrow...)
-		for i := 0; i < right.Schema.Arity(); i++ {
-			nr = append(nr, Null())
-		}
-		inner.Data = append(inner.Data, nr)
-	}
-	return inner, nil
 }
 
 // UnionAll concatenates relations with identical schemas (bag semantics).
@@ -490,12 +460,46 @@ func groupKeys(data []Row, keyIdx []int) []string {
 	})
 }
 
+// tupleKey is the hkey of a row's key cells: the lone cell's own hkey, or
+// for several cells one whose bits mix (FNV-1a) every cell's hkey, so rows
+// whose key cells are pairwise Equal share it.
+func tupleKey(row Row, keyIdx []int) hkey {
+	if len(keyIdx) == 1 {
+		return row[keyIdx[0]].hkey()
+	}
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, k := range keyIdx {
+		c := row[k].hkey()
+		h = (h ^ uint64(c.kind)) * prime
+		h = (h ^ c.bits) * prime
+		for i := 0; i < len(c.s); i++ {
+			h = (h ^ uint64(c.s[i])) * prime
+		}
+		h = (h ^ uint64(len(c.s))) * prime
+	}
+	return hkey{bits: h}
+}
+
+// keysEqual reports whether the key prefix of an Unpivot output row is
+// pairwise Equal to row's key cells.
+func keysEqual(out, row Row, keyIdx []int) bool {
+	for i, k := range keyIdx {
+		if !out[i].Equal(row[k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Unpivot converts an Entity-Attribute-Value relation back to wide form.
-// attrs names the output columns and their types; rows sharing the same key
-// tuple fold into one output row. Attributes absent for a key become NULL.
-// The paper's Join pattern "executes an un-pivot operation, either in code
-// or SQL if the operator exists in the DBMS"; relstore provides it natively.
-// Output rows follow the first appearance of each key tuple.
+// attrs names the output columns and their types. A row folds into the
+// first earlier output row whose key cells are pairwise Equal to its own
+// (hashed by tupleKey and re-checked), and starts a new one otherwise, so
+// output rows follow the first appearance of each key tuple. Attributes
+// absent for a key become NULL. The paper's Join pattern "executes an
+// un-pivot operation, either in code or SQL if the operator exists in the
+// DBMS"; relstore provides it natively.
 func Unpivot(in *Rows, keyCols []string, attrCol, valCol string, attrs []Column) (*Rows, error) {
 	opUnpivot.Inc()
 	keyIdx := make([]int, len(keyCols))
@@ -524,20 +528,36 @@ func Unpivot(in *Rows, keyCols []string, attrCol, valCol string, attrs []Column)
 	if err != nil {
 		return nil, err
 	}
-	keys := groupKeys(in.Data, keyIdx)
-	rowFor := make(map[string]int)
+	// first maps a key tuple's hkey to 1 + its first group (0: none), and
+	// next chains each group to the next one sharing that hkey (-1: none),
+	// in creation order.
+	mBatchRows.Add(int64(len(in.Data)))
+	first := make(map[hkey]int)
+	var next []int
 	var order []Row
-	for i, row := range in.Data {
-		key := keys[i]
-		pos, ok := rowFor[key]
-		if !ok {
+	for _, row := range in.Data {
+		k := tupleKey(row, keyIdx)
+		pos, last := -1, -1
+		for g := first[k] - 1; g >= 0; g = next[g] {
+			if keysEqual(order[g], row, keyIdx) {
+				pos = g
+				break
+			}
+			last = g
+		}
+		if pos < 0 {
 			nr := make(Row, schema.Arity())
-			for i, k := range keyIdx {
-				nr[i] = row[k]
+			for i, c := range keyIdx {
+				nr[i] = row[c]
 			}
 			pos = len(order)
 			order = append(order, nr)
-			rowFor[key] = pos
+			next = append(next, -1)
+			if last >= 0 {
+				next[last] = pos
+			} else {
+				first[k] = pos + 1
+			}
 		}
 		attr := row[ai]
 		if attr.IsNull() {

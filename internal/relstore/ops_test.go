@@ -146,28 +146,6 @@ func TestJoinCollidingNamesPrefixed(t *testing.T) {
 	}
 }
 
-func TestLeftJoin(t *testing.T) {
-	left := sampleRows(t)
-	fs := MustSchema(Column{Name: "ProcID", Type: KindInt}, Column{Name: "Finding", Type: KindString})
-	right := &Rows{Schema: fs, Data: []Row{{Int(1), Str("polyp")}}}
-	out, err := LeftJoin(left, right, "ID", "ProcID", "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 5 {
-		t.Fatalf("left join rows = %d, want 5", out.Len())
-	}
-	nullCount := 0
-	for _, r := range out.Data {
-		if r[out.Schema.Index("Finding")].IsNull() {
-			nullCount++
-		}
-	}
-	if nullCount != 4 {
-		t.Errorf("unmatched rows = %d, want 4", nullCount)
-	}
-}
-
 func TestUnionAndDistinct(t *testing.T) {
 	a := sampleRows(t)
 	b := sampleRows(t)

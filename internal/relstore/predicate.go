@@ -27,10 +27,12 @@ type rowTest func(Row) (bool, error)
 // bindPred binds p to s once per scan, so no row pays a column-name lookup:
 // every row gets exactly the answer and the error evalPred(p, row, s)
 // gives. A comparison between a column and a literal, and an IS NULL or IN
-// over a column, read the cell at its resolved position; AND, OR and NOT
-// combine their bound operands in Eval's row-at-a-time short-circuit order;
-// every other shape, an unknown column included, falls back to p.Eval, so
-// an error arises exactly where Eval raises it.
+// over a column, read the cell at its resolved position. An IN looks the
+// cell up in a hash set of its list (hkey) and re-checks a hit with Equal,
+// so NULL IN (NULL) and int/float matches hold exactly as in Eval. AND, OR
+// and NOT combine their bound operands in Eval's row-at-a-time
+// short-circuit order; every other shape, an unknown column included,
+// falls back to p.Eval, so an error arises exactly where Eval raises it.
 func bindPred(p Pred, s *Schema) rowTest {
 	switch q := p.(type) {
 	case nil:
@@ -68,9 +70,13 @@ func bindPred(p Pred, s *Schema) rowTest {
 		}
 	case InPred:
 		if ci, ok := colPos(q.E, s); ok {
-			list := q.List
+			set := make(map[hkey][]Value, len(q.List))
+			for _, v := range q.List {
+				k := v.hkey()
+				set[k] = append(set[k], v)
+			}
 			return func(r Row) (bool, error) {
-				for _, v := range list {
+				for _, v := range set[r[ci].hkey()] {
 					if r[ci].Equal(v) {
 						return true, nil
 					}

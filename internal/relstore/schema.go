@@ -109,6 +109,19 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	return NewSchema(cols...)
 }
 
+// isNamed reports whether names are the schema's column names in order.
+func (s *Schema) isNamed(names []string) bool {
+	if len(names) != len(s.Columns) {
+		return false
+	}
+	for i, c := range s.Columns {
+		if c.Name != names[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Rename returns a copy of the schema with one column renamed.
 func (s *Schema) Rename(from, to string) (*Schema, error) {
 	if !s.Has(from) {

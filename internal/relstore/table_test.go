@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -430,5 +431,31 @@ func TestTableConcurrentAccess(t *testing.T) {
 	}
 	if tab.Len() != 200 {
 		t.Errorf("Len = %d, want 200", tab.Len())
+	}
+}
+
+// TestIndexProbeFindsNegativeZero: -0.0 Equals 0, so an index probe for 0
+// must find a stored -0.0 exactly as a scan does.
+func TestIndexProbeFindsNegativeZero(t *testing.T) {
+	s := MustSchema(Column{Name: "F", Type: KindFloat})
+	for _, indexed := range []bool{false, true} {
+		tab := NewTable("T", s)
+		if indexed {
+			if err := tab.CreateIndex("F"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tab.Insert(Row{Float(math.Copysign(0, -1))}); err != nil {
+			t.Fatal(err)
+		}
+		for _, pred := range []Pred{Eq("F", Int(0)), In(Col("F"), Int(0))} {
+			got, err := tab.Select(pred)
+			if err != nil || got.Len() != 1 {
+				t.Errorf("indexed=%v: Select %s = %v rows (err %v), want 1", indexed, pred.SQL(), got.Len(), err)
+			}
+		}
+		if got, err := tab.Lookup("F", Float(0)); err != nil || len(got) != 1 {
+			t.Errorf("indexed=%v: Lookup(F, 0) = %d rows (err %v), want 1", indexed, len(got), err)
+		}
 	}
 }

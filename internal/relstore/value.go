@@ -3,6 +3,7 @@ package relstore
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -197,7 +198,10 @@ func (v Value) Compare(o Value) int {
 }
 
 // Key returns a map-key form of the value, suitable for hash indexes and
-// hash joins. Numerically equal int/float values share a key.
+// checkpoint keys. Numerically equal int/float values share a key, -0
+// included: a.Equal(b) implies a.Key() == b.Key(). The converse fails for
+// integers past 2^53, which share their float64 neighbour's key, so a
+// lookup by key re-checks Equal.
 func (v Value) Key() string {
 	switch v.kind {
 	case KindNull:
@@ -205,6 +209,9 @@ func (v Value) Key() string {
 	case KindInt:
 		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
 	case KindFloat:
+		if v.f == 0 {
+			return "f0"
+		}
 		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindString:
 		return "s" + v.s
@@ -216,6 +223,44 @@ func (v Value) Key() string {
 	default:
 		return "?"
 	}
+}
+
+// hkey is the hash key relstore's hash operators (Join, Unpivot and a
+// bound IN list) use in place of Key: comparable, and computed without
+// allocating. Like Key, a.Equal(b) implies a.hkey() == b.hkey(): every
+// number is keyed by its float64 bits, with -0 folded into +0 and every
+// NaN sharing one key, so an integer past 2^53 shares its float64
+// neighbour's key and a hit is re-checked with Equal.
+type hkey struct {
+	kind Kind   // KindFloat for every number
+	bits uint64 // a number's float64 bits; a bool's 0 or 1
+	s    string // a string's bytes
+}
+
+// canonicalNaN is the bits every NaN is keyed by.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+func (v Value) hkey() hkey {
+	switch v.kind {
+	case KindInt:
+		return hkey{kind: KindFloat, bits: math.Float64bits(float64(v.i))}
+	case KindFloat:
+		switch {
+		case v.f == 0:
+			return hkey{kind: KindFloat}
+		case v.f != v.f:
+			return hkey{kind: KindFloat, bits: canonicalNaN}
+		}
+		return hkey{kind: KindFloat, bits: math.Float64bits(v.f)}
+	case KindString:
+		return hkey{kind: KindString, s: v.s}
+	case KindBool:
+		if v.b {
+			return hkey{kind: KindBool, bits: 1}
+		}
+		return hkey{kind: KindBool}
+	}
+	return hkey{}
 }
 
 // Truthy interprets the value as a condition result: TRUE booleans, non-zero

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,9 @@ func TestValueCompare(t *testing.T) {
 func TestValueKeyNumericUnification(t *testing.T) {
 	if Int(2).Key() != Float(2).Key() {
 		t.Error("Int(2) and Float(2) must share a hash key")
+	}
+	if Float(math.Copysign(0, -1)).Key() != Int(0).Key() {
+		t.Error("-0 and 0 are Equal and must share a hash key")
 	}
 	if Int(2).Key() == Str("2").Key() {
 		t.Error("Int(2) and Str(\"2\") must not share a key")

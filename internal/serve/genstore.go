@@ -149,25 +149,41 @@ func (gs *genStore) save(g *generation, refreshes int64) error {
 }
 
 // writeBase writes g's table.rel and MANIFEST into dir and returns the
-// table's size. It computes g's digest from the table.
+// table's size. Each row is encoded once: g's digest adds the row lines
+// of the encoded table, every line after the schema line without its
+// newline. The buffer is presized from the mean width of 64 rows spread
+// over the table, with an eighth to spare.
 func (gs *genStore) writeBase(dir string, g *generation, refreshes int64) (int64, error) {
-	var err error
-	if g.digest, err = tableDigest(g.table); err != nil {
-		return 0, err
+	rows := g.table.Rows()
+	var line []byte
+	var sampled, width int
+	for i := 0; i < len(rows.Data); i += max(len(rows.Data)/64, 1) {
+		line, _ = relstore.AppendRowJSON(line[:0], rows.Data[i])
+		sampled, width = sampled+1, width+len(line)+1
 	}
 	var buf bytes.Buffer
-	if err := relstore.WriteTyped(&buf, g.table.Rows()); err != nil {
+	if sampled > 0 {
+		buf.Grow(4096 + width*len(rows.Data)/sampled*9/8)
+	}
+	if err := relstore.WriteTyped(&buf, rows); err != nil {
 		return 0, err
 	}
-	if err := etl.WriteFileAtomic(gs.fs, filepath.Join(dir, "table.rel"), buf.Bytes()); err != nil {
+	g.digest = rowDigest{}
+	body := buf.Bytes()
+	for lines := body[bytes.IndexByte(body, '\n')+1:]; len(lines) > 0; {
+		n := bytes.IndexByte(lines, '\n')
+		g.digest.add(lines[:n])
+		lines = lines[n+1:]
+	}
+	if err := etl.WriteFileAtomic(gs.fs, filepath.Join(dir, "table.rel"), body); err != nil {
 		return 0, err
 	}
-	tableSum := sha256.Sum256(buf.Bytes())
+	tableSum := sha256.Sum256(body)
 	man := genManifest{
 		genState: g.state(refreshes),
 		Table:    "table.rel",
 		TableSHA: hex.EncodeToString(tableSum[:]),
-		Rows:     g.table.Len(),
+		Rows:     len(rows.Data),
 	}
 	payload, err := json.Marshal(man)
 	if err != nil {
@@ -177,7 +193,7 @@ func (gs *genStore) writeBase(dir string, g *generation, refreshes int64) (int64
 	if err := etl.WriteFileAtomic(gs.fs, filepath.Join(dir, "MANIFEST"), etl.Frame(genManifestVersion, payload)); err != nil {
 		return 0, err
 	}
-	return int64(buf.Len()), nil
+	return int64(len(body)), nil
 }
 
 // patchLines is one refresh's patch rendered as record lines: a group line
