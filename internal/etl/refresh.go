@@ -178,10 +178,10 @@ func (c *Compiled) Refresh(ctx context.Context, warehouse *relstore.DB, opts Ref
 		return nil, err
 	}
 	if delta {
-		// A delta patch probes by entity key within a contributor; a full
-		// patch reads whole contributors, which needs no entity-key index.
+		// A delta patch probes by entity key within a contributor; a table
+		// in EntityKey order (a served generation) needs no index for that.
 		for _, col := range []string{EntityKeyColumn, ContributorColumn} {
-			if err := table.CreateIndex(col); err != nil {
+			if err := table.IndexUnlessClustered(col); err != nil {
 				return nil, err
 			}
 		}

@@ -276,6 +276,56 @@ func TestEmptyDeltaRefreshNoWrites(t *testing.T) {
 	}
 }
 
+// TestDeltaIndexesEntityKeyUnlessClustered: a delta refresh gives the
+// warehouse table a Contributor hash index, and an EntityKey one unless
+// the table is clustered on EntityKey. A batch warehouse (runstudy's,
+// coribench R6's, the facade's) is never ordered, so its delta probes go
+// through the hash index; a table in canonical order, as serve publishes
+// it, answers them by binary search over its ordered prefix.
+func TestDeltaIndexesEntityKeyUnlessClustered(t *testing.T) {
+	for _, ordered := range []bool{false, true} {
+		spec := studyFixture(t)
+		for _, c := range spec.Contributors {
+			c.Stack.Journal = patterns.NewJournal()
+		}
+		compiled, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warehouse := relstore.NewDB("warehouse")
+		cursors := NewDeltaCursors()
+		if _, err := compiled.Refresh(context.Background(), warehouse, RefreshOptions{Cursors: cursors}); err != nil {
+			t.Fatal(err)
+		}
+		table, err := warehouse.Table(compiled.Output.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ordered {
+			if err := table.Order(table.Schema().Names()...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ca := spec.Contributors[0]
+		if _, err := ca.Stack.Update(ca.DB, ca.Form, relstore.Int(2), "PacksPerDay", relstore.Float(7)); err != nil {
+			t.Fatal(err)
+		}
+		report, err := compiled.Refresh(context.Background(), warehouse, RefreshOptions{Mode: DeltaRefresh, Cursors: cursors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Stats.Updated != 1 {
+			t.Fatalf("ordered %v: delta = %+v, want 1 updated", ordered, report.Stats)
+		}
+		if got := table.HasIndex(EntityKeyColumn); got == ordered {
+			t.Errorf("ordered %v: the delta left an EntityKey index: %v", ordered, got)
+		}
+		if !table.HasIndex(ContributorColumn) {
+			t.Errorf("ordered %v: the delta left no Contributor index", ordered)
+		}
+	}
+}
+
 // TestScopedRunCheckpointsApart: a delta's key-scoped run checkpoints
 // under a key digesting its scope, so it never restores the step tables a
 // full run checkpointed under the plan's fingerprint.

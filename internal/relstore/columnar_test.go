@@ -17,8 +17,9 @@ import (
 // row-at-a-time reference, over seeded randomized relations covering NULLs,
 // kind exceptions (ints stored in REAL columns), huge int64s beyond float64
 // precision, unknown columns and empty inputs. Every predicate scan — the
-// Select operator, Table.SelectPage on its scan and index-probe paths,
-// Table.Delete and Table.Update — is held to one reference, refSelect.
+// Select operator, Table.SelectPage on its scan, hash-index and
+// ordered-prefix paths, Table.Delete and Table.Update — is held to one
+// reference, refSelect.
 
 // strictValEq is stricter than Value.Equal: kinds must match exactly, so an
 // Int(2) that came back as Float(2) fails.
@@ -200,7 +201,7 @@ func refHolds(in *Rows, pred Pred) *Rows {
 }
 
 // expected is the outcome a predicate scan over in must have: refSelect's
-// rows or its error. An index probe (probed) tests only its candidates, a
+// rows or its error. A probe (probed) tests only its candidates, a
 // superset of the matches, so it may skip every row pred fails on; when it
 // reports no error, it must return exactly the rows pred holds on.
 func expected(in *Rows, pred Pred, probed bool, gotErr error) (*Rows, error) {
@@ -226,7 +227,8 @@ func sameOutcome(got *Rows, err error, want *Rows, wantErr error) error {
 	return strictRowsEq(got, want)
 }
 
-// probes reports whether tb answers pred through an index probe.
+// probes reports whether tb answers pred through an access path: a hash
+// index or the ordered prefix.
 func probes(tb *Table, pred Pred) bool {
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -235,11 +237,13 @@ func probes(tb *Table, pred Pred) bool {
 }
 
 // checkEverywhere holds every predicate scan of pred over in to refSelect:
-// the Select operator; Table.SelectPage, whole and one short page, on a
-// table with no index (always the scan path) and on one indexed on K, N and X
-// (the probe path whenever pred has an indexable conjunct); Table.Delete on
-// clones of both, which must remove exactly the matches or, on error,
-// nothing; and Table.Update on clones of both, the indexed one ordered on
+// the Select operator, and checkTable on four tables of in's rows — one
+// with no index (always the scan path), one indexed on K, N and X (the hash
+// path whenever pred has an indexable conjunct), and two clustered ones
+// with a shortened ordered prefix and an unordered tail (orderedTable), on
+// N with no index and on K with an index on N, where the prefix path
+// answers conjuncts on the leading column and competes with the hash path;
+// then Table.Update on clones of the first two, the indexed one ordered on
 // K, which must be all or nothing (see checkUpdate).
 func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 	t.Helper()
@@ -258,50 +262,9 @@ func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 		if err := tb.InsertAll(in.Data); err != nil {
 			t.Fatal(err)
 		}
-		probed := probes(tb, pred)
-		path := map[bool]string{false: "scan", true: "probe"}[probed]
-
-		page, total, err := tb.SelectPage(pred, 1, 2)
-		want, wantErr := expected(in, pred, probed, err)
-		if wantErr == nil && err == nil {
-			if total != want.Len() {
-				t.Fatalf("%s: SelectPage (%s): total %d, want %d", label, path, total, want.Len())
-			}
-			lo := min(1, total)
-			want = &Rows{Schema: want.Schema, Data: want.Data[lo : lo+min(2, total-lo)]}
-		}
-		if e := sameOutcome(page, err, want, wantErr); e != nil {
-			t.Fatalf("%s: SelectPage (%s) %s: %v", label, path, pred.SQL(), e)
-		}
-		all, err := tb.Select(pred)
-		want, wantErr = expected(in, pred, probed, err)
-		if e := sameOutcome(all, err, want, wantErr); e != nil {
-			t.Fatalf("%s: Table.Select (%s) %s: %v", label, path, pred.SQL(), e)
-		}
-
-		c := tb.Clone()
-		n, err := c.Delete(pred)
-		want, wantErr = expected(in, pred, probed, err)
-		rest := in
-		if wantErr == nil {
-			rest = &Rows{Schema: in.Schema}
-			for _, r := range in.Data {
-				if ok, err := evalPred(pred, r, in.Schema); !ok || err != nil {
-					rest.Data = append(rest.Data, r)
-				}
-			}
-			if n != want.Len() {
-				t.Fatalf("%s: Delete (%s) %s removed %d rows, want %d", label, path, pred.SQL(), n, want.Len())
-			}
-		}
-		if e := sameOutcome(c.Rows(), err, rest, wantErr); e != nil {
-			t.Fatalf("%s: Delete (%s) %s: %v", label, path, pred.SQL(), e)
-		}
-		if wantErr != nil {
-			if e := strictRowsEq(c.Rows(), in); e != nil {
-				t.Fatalf("%s: a failed Delete (%s) changed the table: %v", label, path, e)
-			}
-		}
+	}
+	for _, tb := range []*Table{plain, indexed, orderedTable(t, in, "N"), orderedTable(t, in, "K", "N")} {
+		checkTable(t, label, tb, pred)
 	}
 
 	for _, tb := range []*Table{plain, indexed} {
@@ -313,6 +276,94 @@ func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 				}
 			}
 			checkUpdate(t, label, c, pred, failAt)
+		}
+	}
+}
+
+// orderedTable loads the first half of in's rows into a table hash-indexed
+// on cols, Orders it by lead, deletes every fifth of those rows and appends
+// the second half: a table clustered on lead, with a shortened ordered
+// prefix and an unordered tail.
+func orderedTable(t *testing.T, in *Rows, lead string, cols ...string) *Table {
+	t.Helper()
+	tb := NewTable("T", in.Schema)
+	for _, col := range cols {
+		if err := tb.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	half := len(in.Data) / 2
+	if err := tb.InsertAll(in.Data[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Order(lead); err != nil {
+		t.Fatal(err)
+	}
+	var doomed []Value
+	for i, r := range tb.Rows().Data {
+		if i%5 == 2 {
+			doomed = append(doomed, r[0])
+		}
+	}
+	if _, err := tb.Delete(In(Col("ID"), doomed...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.InsertAll(in.Data[half:]); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// checkTable holds every predicate scan of pred over tb to refSelect over
+// tb's rows in storage order: Table.SelectPage, whole and one short page,
+// and Table.Delete on a clone, which must remove exactly the matches or, on
+// error, nothing. A scan on an access path (probes) may skip rows pred
+// fails on (see expected).
+func checkTable(t *testing.T, label string, tb *Table, pred Pred) {
+	t.Helper()
+	in := tb.Rows()
+	probed := probes(tb, pred)
+	path := map[bool]string{false: "scan", true: "probe"}[probed]
+
+	page, total, err := tb.SelectPage(pred, 1, 2)
+	want, wantErr := expected(in, pred, probed, err)
+	if wantErr == nil && err == nil {
+		if total != want.Len() {
+			t.Fatalf("%s: SelectPage (%s): total %d, want %d", label, path, total, want.Len())
+		}
+		lo := min(1, total)
+		want = &Rows{Schema: want.Schema, Data: want.Data[lo : lo+min(2, total-lo)]}
+	}
+	if e := sameOutcome(page, err, want, wantErr); e != nil {
+		t.Fatalf("%s: SelectPage (%s) %s: %v", label, path, pred.SQL(), e)
+	}
+	all, err := tb.Select(pred)
+	want, wantErr = expected(in, pred, probed, err)
+	if e := sameOutcome(all, err, want, wantErr); e != nil {
+		t.Fatalf("%s: Table.Select (%s) %s: %v", label, path, pred.SQL(), e)
+	}
+
+	c := tb.Clone()
+	n, err := c.Delete(pred)
+	want, wantErr = expected(in, pred, probed, err)
+	rest := in
+	if wantErr == nil {
+		rest = &Rows{Schema: in.Schema}
+		for _, r := range in.Data {
+			if ok, err := evalPred(pred, r, in.Schema); !ok || err != nil {
+				rest.Data = append(rest.Data, r)
+			}
+		}
+		if n != want.Len() {
+			t.Fatalf("%s: Delete (%s) %s removed %d rows, want %d", label, path, pred.SQL(), n, want.Len())
+		}
+	}
+	if e := sameOutcome(c.Rows(), err, rest, wantErr); e != nil {
+		t.Fatalf("%s: Delete (%s) %s: %v", label, path, pred.SQL(), e)
+	}
+	if wantErr != nil {
+		if e := strictRowsEq(c.Rows(), in); e != nil {
+			t.Fatalf("%s: a failed Delete (%s) changed the table: %v", label, path, e)
 		}
 	}
 }

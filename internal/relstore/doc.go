@@ -50,9 +50,20 @@
 // rows whose key cell is Equal to the left one (NULL never joins), Unpivot
 // folds a row into the first earlier group whose key cells are pairwise
 // Equal to its own, and col IN (list) holds exactly when [Pred.Eval] says
-// so, NULL IN (NULL) included. The hash indexes still key buckets by
-// [Value.Key], which agrees with Equal the same way, -0 included, and
-// their probes re-check the whole predicate on every candidate.
+// so, NULL IN (NULL) included.
+//
+// # Access paths
+//
+// A predicate scan whose conjuncts offer an access path tests only its
+// candidates: a superset of the matches, each tested with the whole
+// predicate, so the rows and their order are a scan's, though a row the
+// predicate would fail on with an error may be skipped. A hash index keys
+// buckets by [Value.Key], which agrees with Equal like hkey, -0 included,
+// and answers = and IN. The ordered prefix [Table.Order] leaves answers
+// those and <, <=, >, >= on its leading column by binary search, plus every
+// row appended since; the path with fewer candidates wins. The column must
+// be INTEGER, TEXT or BOOLEAN, which [Value.Compare] orders totally: a REAL
+// column's Ints past 2^53 and NaNs let an ordered prefix read 3, NaN, 1.
 //
 // # Execution
 //

@@ -475,3 +475,108 @@ func TestCloneIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixProbe drives the prefix path through the literal shapes its
+// binary search must get right, on tables clustered on an INTEGER, a TEXT
+// and a BOOLEAN column, each with a shortened ordered prefix and a tail
+// (orderedTable). Every outcome must equal a scan's (checkTable). The table
+// has no hash index, so a probe is the prefix path: the shapes marked
+// prefix must take it, and those marked scan — <>, OR, NOT and NULL
+// literals — must not; the rest may. A table ordered on a REAL column must never
+// take it: there Order accepts 5, 6, 7, NaN, 1, 2, 3 as ascending, and
+// Ints past 2^53 that Compare orders apart but calls equal to their
+// float64 neighbour, so a binary search for X < 2 would miss the 1.
+func TestPrefixProbe(t *testing.T) {
+	const big = int64(1) << 60
+	nan := math.NaN()
+	col := func(name string, op CmpOp, v Value) Pred { return Cmp(op, Col(name), Lit(v)) }
+	in := randRelation(rand.New(rand.NewSource(59)), 160)
+	const anyPath, prefix, scan = 0, 1, 2
+	type probeCase struct {
+		pred Pred
+		path int
+	}
+	cases := map[string][]probeCase{
+		"N": {
+			{col("N", CmpEq, Float(float64(big))), prefix}, // Int 2^60+{0,1,2} all Equal it
+			{col("N", CmpGe, Float(float64(big))), prefix},
+			{col("N", CmpLt, Float(-2.5)), prefix},
+			{col("N", CmpLe, Float(0.5)), anyPath},
+			{col("N", CmpGt, Float(2.5)), prefix},
+			{col("N", CmpGe, Float(-0.5)), anyPath},
+			{In(Col("N"), Int(2), Float(2), Int(2), Int(big+1), Float(float64(big))), prefix},
+			{In(Col("N")), prefix},
+			{Cmp(CmpLt, Lit(Int(1)), Col("N")), prefix},
+			{Cmp(CmpEq, Lit(Float(float64(big))), Col("N")), prefix},
+			{Cmp(CmpGe, Lit(Float(-3.5)), Col("N")), prefix},
+			{And(col("N", CmpGt, Int(2)), col("N", CmpLt, Int(1))), prefix},
+			{And(col("N", CmpGe, Float(-0.5)), Cmp(CmpGt, Lit(Int(3)), Col("N"))), prefix},
+			{And(In(Col("N"), Int(1), Int(2), Int(3)), col("N", CmpGt, Int(1)), col("K", CmpEq, Str("a"))), prefix},
+			{col("N", CmpEq, Float(nan)), anyPath},
+			{col("N", CmpLt, Float(nan)), anyPath},
+			{col("N", CmpLe, Float(nan)), anyPath},
+			{col("N", CmpGt, Float(nan)), anyPath},
+			{col("N", CmpGe, Float(nan)), anyPath},
+			{col("N", CmpEq, Str("a")), prefix},
+			{col("N", CmpLt, Str("a")), anyPath},
+			{col("N", CmpLe, Str("a")), anyPath},
+			{col("N", CmpGt, Str("a")), prefix},
+			{col("N", CmpGe, Str("a")), prefix},
+			{col("N", CmpLt, Bool(true)), anyPath},
+			{col("N", CmpNe, Int(2)), scan},
+			{col("N", CmpEq, Null()), scan},
+			{col("N", CmpLt, Null()), scan},
+			{In(Col("N"), Int(1), Null()), scan},
+			{Or(col("N", CmpEq, Int(1)), col("N", CmpEq, Int(2))), scan},
+			{Not(col("N", CmpGe, Int(1))), scan},
+		},
+		"K": {
+			{col("K", CmpEq, Str("b")), prefix},
+			{col("K", CmpLt, Str("c")), prefix},
+			{Cmp(CmpLe, Lit(Str("c")), Col("K")), prefix},
+			{In(Col("K"), Str("e"), Str("a"), Str("e")), prefix},
+			{col("K", CmpEq, Int(1)), prefix},
+			{col("K", CmpGe, Int(1)), anyPath},
+			{And(col("K", CmpGe, Str("b")), col("K", CmpLe, Str("b")), col("N", CmpGt, Int(0))), prefix},
+		},
+		"B": {
+			{col("B", CmpEq, Bool(true)), prefix},
+			{col("B", CmpLt, Bool(true)), prefix},
+			{In(Col("B"), Bool(false)), prefix},
+		},
+	}
+	for lead, cs := range cases {
+		tb := orderedTable(t, in, lead)
+		for _, c := range cs {
+			label := fmt.Sprintf("ordered on %s: %s", lead, c.pred.SQL())
+			if got := probes(tb, c.pred); c.path != anyPath && got != (c.path == prefix) {
+				t.Errorf("%s: probed %v, want %v", label, got, c.path == prefix)
+			}
+			checkTable(t, label, tb, c.pred)
+		}
+	}
+
+	real := &Rows{Schema: propSchema()}
+	for i, x := range []Value{Float(5), Float(6), Int(7), Float(nan), Float(1), Int(2), Float(3),
+		Int(1<<53 + 1), Float(1 << 53), Int(1 << 53), Int(1<<53 + 1)} {
+		real.Data = append(real.Data, Row{Int(int64(i)), Null(), Null(), x, Null()})
+	}
+	tb := NewTable("T", real.Schema)
+	if err := tb.InsertAll(real.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Order("X"); err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []Pred{
+		col("X", CmpLt, Int(2)), col("X", CmpLe, Float(1)), col("X", CmpGt, Int(6)), col("X", CmpGe, Float(7)),
+		col("X", CmpEq, Float(1)), col("X", CmpEq, Int(1<<53)), col("X", CmpGt, Int(1<<53)),
+		col("X", CmpLe, Float(1<<53)), In(Col("X"), Int(1), Int(1<<53+1)),
+	} {
+		label := "ordered on X: " + pred.SQL()
+		if probes(tb, pred) {
+			t.Errorf("%s: a REAL column answered a probe", label)
+		}
+		checkTable(t, label, tb, pred)
+	}
+}

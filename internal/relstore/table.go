@@ -186,13 +186,13 @@ func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 }
 
 // Delete removes rows matching pred and returns how many were removed.
-// Candidate rows come from a hash-index probe when the predicate has an
-// indexable equality or IN conjunct. Because indexes hold stable row IDs,
-// deleting k rows costs O(k) bucket edits plus an integer renumbering of the
-// positions after the first hole — the rest of the index is untouched, so
-// small deletes from a large table stay cheap no matter how many rows or
-// buckets the table has. Row positions are decided before any mutation, so a
-// predicate error leaves the table untouched.
+// Candidate rows come from an access path when the predicate offers one
+// (see probeLocked), and from a scan otherwise. Because indexes hold stable
+// row IDs, deleting k rows costs O(k) bucket edits plus an integer
+// renumbering of the positions after the first hole — the rest of the index
+// is untouched, so small deletes from a large table stay cheap no matter how
+// many rows or buckets the table has. Row positions are decided before any
+// mutation, so a predicate error leaves the table untouched.
 func (t *Table) Delete(pred Pred) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -291,6 +291,20 @@ func (t *Table) CreateIndex(col string) error {
 	return nil
 }
 
+// IndexUnlessClustered is CreateIndex(col) unless col leads the table's
+// last Order and is INTEGER, TEXT or BOOLEAN: probes on such a column
+// binary-search the ordered prefix (see probeLocked), and an index would
+// only duplicate that path, at one bucket copy per Clone.
+func (t *Table) IndexUnlessClustered(col string) error {
+	t.mu.RLock()
+	c, ok := t.clusterLocked()
+	t.mu.RUnlock()
+	if ok && t.schema.Columns[c].Name == col {
+		return nil
+	}
+	return t.CreateIndex(col)
+}
+
 // HasIndex reports whether a hash index exists on the column.
 func (t *Table) HasIndex(col string) bool {
 	t.mu.RLock()
@@ -379,11 +393,12 @@ func (t *Table) Select(pred Pred) (*Rows, error) {
 // returns only the stored rows at [offset, offset+limit) of the matches in
 // storage order, in a fresh slice, so a page costs one predicate pass plus
 // its own length however many rows match. The rows must not be written into
-// (see Table). Candidates come from a hash-index probe when the predicate
-// has an indexable equality or IN conjunct, and from a full scan otherwise;
-// the predicate is bound to the schema once and tests each candidate
-// (matchLocked) — serve's extract filters arrive here as Preds, not
-// post-hoc row filters. Negative offsets and limits count as zero.
+// (see Table). Candidates come from an access path — a hash index or the
+// ordered prefix — when the predicate offers one (see probeLocked), and
+// from a full scan otherwise; the predicate is bound to the schema once and
+// tests each candidate (matchLocked) — serve's extract filters arrive here
+// as Preds, not post-hoc row filters. Negative offsets and limits count as
+// zero.
 func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int, err error) {
 	offset, limit = max(offset, 0), max(limit, 0)
 	t.mu.RLock()
@@ -414,8 +429,8 @@ func (t *Table) SelectPage(pred Pred, offset, limit int) (page *Rows, total int,
 
 // matchLocked calls fn, in storage order, with the position of every row
 // that satisfies pred (non-nil), and stops at the first predicate error.
-// The rows tested are the candidates of a hash-index probe when pred has an
-// indexable conjunct (probed reports it) and every row otherwise, each
+// The rows tested are the candidates of an access path when pred offers
+// one (probed reports it; see probeLocked) and every row otherwise, each
 // tested by pred bound to the schema once for the call. Callers must hold
 // t.mu.
 func (t *Table) matchLocked(pred Pred, fn func(p int)) (probed bool, err error) {
@@ -445,31 +460,27 @@ func (t *Table) matchLocked(pred Pred, fn func(p int)) (probed bool, err error) 
 	return true, nil
 }
 
-// probeLocked returns the candidate storage positions, ascending, that a
-// hash-index probe yields for pred: the rows whose indexed column shares a
-// hash key with the literal of an equality conjunct or with one of the
-// literals of an IN conjunct — whichever indexable conjunct yields the
-// fewest candidates, equalities first on a tie. Keys can collide — integers
-// past 2^53 share their float64 key — so candidates are a superset and
-// callers evaluate the whole of pred on each. ok is false when no conjunct
-// is indexable. Callers must hold t.mu.
+// probeLocked returns the candidate storage positions, ascending, of the
+// access path that yields the fewest for pred, and ok false when there is
+// none (see the package doc, "Access paths"): the hash path takes the
+// equality or IN conjunct whose buckets hold the fewest rows, equalities
+// first on a tie, and the prefix path (prefixSpansLocked) must beat it, or
+// a scan. Callers evaluate the whole of pred on each candidate, and must
+// hold t.mu.
 func (t *Table) probeLocked(pred Pred) (positions []int, ok bool) {
-	conjuncts := []Pred{pred}
-	if and, isAnd := pred.(AndPred); isAnd {
-		conjuncts = and.Ps
-	}
+	terms := probeTerms(pred)
 	var best [][]int
 	size := -1
 	for _, in := range []bool{false, true} {
-		for _, p := range conjuncts {
-			idx, lits := t.indexedLiteralsLocked(p, in)
-			if idx == nil {
+		for _, tm := range terms {
+			idx := t.indexes[tm.col]
+			if tm.in != in || tm.op != CmpEq || idx == nil {
 				continue
 			}
 			var buckets [][]int
 			n := 0
-			seen := make(map[string]bool, len(lits))
-			for _, v := range lits {
+			seen := make(map[string]bool, len(tm.lits))
+			for _, v := range tm.lits {
 				if k := v.Key(); !seen[k] {
 					seen[k] = true
 					buckets = append(buckets, idx.buckets[k])
@@ -481,6 +492,15 @@ func (t *Table) probeLocked(pred Pred) (positions []int, ok bool) {
 			}
 		}
 	}
+	if spans, n := t.prefixSpansLocked(terms); n < len(t.rows) && (size < 0 || n < size) {
+		positions = make([]int, 0, n)
+		for _, s := range spans {
+			for p := s[0]; p < s[1]; p++ {
+				positions = append(positions, p)
+			}
+		}
+		return positions, true
+	}
 	if size < 0 {
 		return nil, false
 	}
@@ -491,38 +511,105 @@ func (t *Table) probeLocked(pred Pred) (positions []int, ok bool) {
 	return t.bucketPositionsLocked(ids), true
 }
 
-// indexedLiteralsLocked matches one conjunct against a probe shape — with
-// in false "col = literal" (either side), with in true "col IN (literals)"
-// — where col carries a hash index and no literal is NULL. It returns the
-// index and the literals, or a nil index. Callers must hold t.mu.
-func (t *Table) indexedLiteralsLocked(p Pred, in bool) (*hashIndex, []Value) {
-	var e Expr
-	var lits []Value
-	switch q := p.(type) {
-	case CmpPred:
-		if in || q.Op != CmpEq {
-			return nil, nil
+// probeTerm is a conjunct an access path can answer: "col op lit" (a literal
+// on the left mirrors op) or, with in set, "col IN (lits)" with op CmpEq.
+type probeTerm struct {
+	col  string
+	op   CmpOp
+	lits []Value
+	in   bool
+}
+
+// probeTerms returns the conjuncts of pred that are probe terms. <>, OR,
+// NOT and a NULL literal never are.
+func probeTerms(pred Pred) []probeTerm {
+	conjuncts := []Pred{pred}
+	if and, isAnd := pred.(AndPred); isAnd {
+		conjuncts = and.Ps
+	}
+	var terms []probeTerm
+	for _, p := range conjuncts {
+		var e Expr
+		var tm probeTerm
+		switch q := p.(type) {
+		case CmpPred:
+			if q.Op == CmpNe || q.Op > CmpGe {
+				continue
+			}
+			if l, ok := q.R.(LitExpr); ok {
+				e, tm = q.L, probeTerm{op: q.Op, lits: []Value{l.V}}
+			} else if l, ok := q.L.(LitExpr); ok {
+				mirrored := [...]CmpOp{CmpEq: CmpEq, CmpLt: CmpGt, CmpLe: CmpGe, CmpGt: CmpLt, CmpGe: CmpLe}
+				e, tm = q.R, probeTerm{op: mirrored[q.Op], lits: []Value{l.V}}
+			}
+		case InPred:
+			e, tm = q.E, probeTerm{op: CmpEq, lits: q.List, in: true}
 		}
-		if l, ok := q.R.(LitExpr); ok {
-			e, lits = q.L, []Value{l.V}
-		} else if l, ok := q.L.(LitExpr); ok {
-			e, lits = q.R, []Value{l.V}
-		}
-	case InPred:
-		if in {
-			e, lits = q.E, q.List
+		if col, ok := e.(ColRef); ok && !slices.ContainsFunc(tm.lits, Value.IsNull) {
+			tm.col = col.Name
+			terms = append(terms, tm)
 		}
 	}
-	col, ok := e.(ColRef)
+	return terms
+}
+
+// clusterLocked returns the position of the column the table is clustered
+// on: the column its last Order leads with, if that is INTEGER, TEXT or
+// BOOLEAN (see "Access paths"). Callers must hold t.mu.
+func (t *Table) clusterLocked() (col int, ok bool) {
+	if len(t.ordCols) == 0 {
+		return 0, false
+	}
+	k := t.schema.Columns[t.ordCols[0]].Type
+	return t.ordCols[0], k == KindInt || k == KindString || k == KindBool
+}
+
+// prefixSpansLocked returns the prefix path's candidates as ascending
+// position spans, and their count: the positions of the ordered prefix
+// whose clustered cell may satisfy every term on that column, then the
+// unordered tail — every row, when no term is on that column. Callers must
+// hold t.mu.
+func (t *Table) prefixSpansLocked(terms []probeTerm) (spans [][2]int, n int) {
+	col, ok := t.clusterLocked()
 	if !ok {
-		return nil, nil
+		return nil, len(t.rows)
 	}
-	for _, v := range lits {
-		if v.IsNull() {
-			return nil, nil
+	spans = [][2]int{{0, t.ordLen}}
+	for _, tm := range terms {
+		if t.schema.Index(tm.col) != col {
+			continue
+		}
+		// Along the prefix c.Compare(v) never decreases, so two binary
+		// searches bound the cells c whose verdict "c op v" needs.
+		runs := make([][2]int, len(tm.lits))
+		for i, v := range tm.lits {
+			ge := sort.Search(t.ordLen, func(i int) bool { return t.rows[i][col].Compare(v) >= 0 })
+			gt := ge + sort.Search(t.ordLen-ge, func(i int) bool { return t.rows[ge+i][col].Compare(v) > 0 })
+			runs[i] = [...][2]int{CmpEq: {ge, gt}, CmpLt: {0, ge}, CmpLe: {0, gt}, CmpGt: {gt, t.ordLen}, CmpGe: {ge, t.ordLen}}[tm.op]
+		}
+		spans = intersectSpans(spans, runs)
+	}
+	spans = append(spans, [2]int{t.ordLen, len(t.rows)})
+	for _, s := range spans {
+		n += s[1] - s[0]
+	}
+	return spans, n
+}
+
+// intersectSpans returns, as ascending disjoint spans, the positions that
+// lie in one of a's ascending disjoint spans and in one of b's spans, which
+// may come in any order and overlap.
+func intersectSpans(a, b [][2]int) (out [][2]int) {
+	slices.SortFunc(b, func(x, y [2]int) int { return x[0] - y[0] })
+	end := 0 // every position below end is in out already
+	for _, x := range a {
+		for _, y := range b {
+			if lo, hi := max(x[0], y[0], end), min(x[1], y[1]); lo < hi {
+				out, end = append(out, [2]int{lo, hi}), hi
+			}
 		}
 	}
-	return t.indexes[col.Name], lits
+	return out
 }
 
 // Order stably reorders the stored rows ascending by the named columns — the

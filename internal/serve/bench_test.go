@@ -68,11 +68,13 @@ func (d *benchDeployment) tick(b *testing.B) {
 // BenchmarkDeltaTick times the tick a refresh-churn user waits for: one
 // 24-mutation delta refresh of the reference study over the three vendor
 // contributors and Notes — plan, patch, clone, order, persist and publish —
-// with a durable warehouse directory, at two sizes 4x apart. The mutations
-// are applied outside the timer. Each size is deployed once and reused
-// across the benchmark's runs.
+// with a durable warehouse directory, at 1,250, 5,000 (guavabench's size)
+// and 50,000 records per contributor, so a cost that tracks the table, not
+// the change, shows as growth across sizes. The mutations are applied
+// outside the timer. Each size is deployed once and reused across the
+// benchmark's runs; deploying 50,000 records takes about ten seconds.
 func BenchmarkDeltaTick(b *testing.B) {
-	for _, n := range []int{1250, 5000} {
+	for _, n := range []int{1250, 5000, 50000} {
 		var d *benchDeployment
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			if d == nil {

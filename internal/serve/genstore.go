@@ -299,9 +299,9 @@ func (gs *genStore) loadGen(dir string) (*genManifest, *relstore.Rows, error) {
 }
 
 // applyRecord reads record num over rec's base and replays it on rec's
-// table through etl.ApplyPatch, the writes the refresh made; rec then
-// holds the record's state. Any failure means the record is torn, and
-// leaves the table as it was.
+// table through etl.ApplyPatch, the writes the refresh made, then restores
+// canonical order; rec then holds the record's state. Any failure means
+// the record is torn, and leaves the table as it was.
 func (gs *genStore) applyRecord(rec *recoveredGen, num int64) error {
 	b, err := gs.fs.ReadFile(filepath.Join(rec.disk.dir, recordName(num)))
 	if err != nil {
@@ -332,14 +332,15 @@ func (gs *genStore) applyRecord(rec *recoveredGen, num int64) error {
 	if err := etl.ApplyPatch(rec.table, rows[:head.Removed], rows[head.Removed:]); err != nil {
 		return err
 	}
+	_ = rec.table.Order(rec.table.Schema().Names()...) // merges only the rows the record inserted
 	rec.state = head.genState
 	rec.disk.logBytes += int64(len(b))
 	return nil
 }
 
 // recoveredGen is one successfully recovered generation: its table, with
-// the Contributor and EntityKey indexes, in the order replay left it, and
-// the state of the last record applied (or of the base).
+// the Contributor index, in canonical order, and the state of the last
+// record applied (or of the base).
 type recoveredGen struct {
 	state  genState
 	table  *relstore.Table
@@ -411,11 +412,12 @@ func (gs *genStore) replay(dir, tableName string) (*recoveredGen, error) {
 	if err := table.InsertAll(rows.Data); err != nil {
 		return nil, fmt.Errorf("table load: %w", err)
 	}
-	// The indexes a delta's clone carries: each record's Delete probes the
-	// EntityKey buckets of its groups instead of testing every row of a
-	// contributor.
+	// What a delta's clone carries: the Contributor index, and canonical
+	// order, whose EntityKey prefix each record's Delete binary-searches for
+	// its groups. A base is in that order, so this Order only scans, unless
+	// it was written before generations were published in canonical order.
 	_ = table.CreateIndex(etl.ContributorColumn)
-	_ = table.CreateIndex(etl.EntityKeyColumn)
+	_ = table.Order(rows.Schema.Names()...)
 	rec := &recoveredGen{
 		state: man.genState,
 		table: table,

@@ -319,9 +319,6 @@ func (s *Server) recoverStudy(st *servedStudy) {
 		st.store.discardAll()
 		return
 	}
-	// Files written before generations were published in canonical order
-	// hold their rows in merge order, and replayed records append theirs;
-	// newGeneration reorders them.
 	g := newGeneration(st, rec.table)
 	g.num, g.stats, g.onDisk = rec.state.Gen, rec.state.Stats, rec.disk
 	g.digest = rec.digest
