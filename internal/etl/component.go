@@ -377,7 +377,7 @@ func (q *Query) runBulk(rows *relstore.Rows) (*relstore.Rows, error) {
 func (q *Query) runRowwise(ctx context.Context, quar *quarantine, in *relstore.Rows) (*relstore.Rows, error) {
 	var outSchema *relstore.Schema
 	var err error
-	var projIdx []int
+	projIdx, derive := []int(nil), relstore.BindDerive(q.Derive, in.Schema)
 	switch {
 	case len(q.Derive) > 0:
 		outSchema, err = relstore.DeriveSchema(q.Derive)
@@ -431,7 +431,7 @@ rowLoop:
 		outRow := row
 		switch {
 		case len(q.Derive) > 0:
-			outRow, err = relstore.DeriveRow(q.Derive, row, in.Schema)
+			outRow, err = derive(row)
 			if err != nil {
 				if qerr := quar.add(ctx, "derive", err, keyOf(row), renderRow(row, in.Schema), src); qerr != nil {
 					return nil, qerr

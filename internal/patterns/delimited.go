@@ -102,8 +102,8 @@ func (d *Delimited) unescape(s string) (relstore.Value, error) {
 	if s == "" {
 		return relstore.Null(), nil
 	}
-	if s == `\e` {
-		return relstore.Str(""), nil
+	if strings.IndexByte(s, '\\') < 0 {
+		return relstore.Str(s), nil
 	}
 	var sb strings.Builder
 	for i := 0; i < len(s); i++ {
@@ -121,28 +121,19 @@ func (d *Delimited) unescape(s string) (relstore.Value, error) {
 	return relstore.Str(sb.String()), nil
 }
 
-// splitPacked splits on unescaped separators.
-func (d *Delimited) splitPacked(s string) []string {
-	var segs []string
-	var cur strings.Builder
-	sep := d.sep()
+// splitPacked appends to segs the substrings of s between unescaped separators.
+func (d *Delimited) splitPacked(segs []string, s string) []string {
+	sep, start := d.sep(), 0
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
-			cur.WriteByte(s[i])
-			cur.WriteByte(s[i+1])
 			i++
-			continue
-		}
-		if strings.HasPrefix(s[i:], sep) {
-			segs = append(segs, cur.String())
-			cur.Reset()
+		} else if strings.HasPrefix(s[i:], sep) {
+			segs = append(segs, s[start:i])
 			i += len(sep) - 1
-			continue
+			start = i + 1
 		}
-		cur.WriteByte(s[i])
 	}
-	segs = append(segs, cur.String())
-	return segs
+	return append(segs, s[start:])
 }
 
 // Encode implements Transform.
@@ -179,26 +170,35 @@ func (d *Delimited) Decode(_ *relstore.DB, outer, inner FormInfo, rows *relstore
 	if packedIdx < 0 {
 		return nil, fmt.Errorf("delimited: packed column %q missing from read", d.Into)
 	}
-	data := make([]relstore.Row, len(rows.Data))
+	// from[i] is the read column outer column i copies (-1: none), and
+	// into[k] the outer column packed column k decodes to.
+	from, into := make([]int, outer.Schema.Arity()), make([]int, len(d.Columns))
+	for i, c := range outer.Schema.Columns {
+		if from[i] = rows.Schema.Index(c.Name); c.Name == d.Into {
+			from[i] = -1
+		}
+	}
+	for k, col := range d.Columns {
+		into[k] = outer.Schema.Index(col)
+	}
+	segs, data := []string(nil), make([]relstore.Row, len(rows.Data))
 	for r, row := range rows.Data {
-		nr := make(relstore.Row, outer.Schema.Arity())
-		for i, c := range outer.Schema.Columns {
-			if j := rows.Schema.Index(c.Name); j >= 0 && c.Name != d.Into {
+		nr := make(relstore.Row, len(from))
+		for i, j := range from {
+			if j >= 0 {
 				nr[i] = row[j]
 			}
 		}
-		packed := row[packedIdx]
-		if !packed.IsNull() {
-			segs := d.splitPacked(packed.AsString())
-			if len(segs) != len(d.Columns) {
-				return nil, fmt.Errorf("delimited: packed value %q has %d segments, want %d", packed.AsString(), len(segs), len(d.Columns))
+		if packed := row[packedIdx]; !packed.IsNull() {
+			if segs = d.splitPacked(segs[:0], packed.AsString()); len(segs) != len(into) {
+				return nil, fmt.Errorf("delimited: packed value %q has %d segments, want %d", packed.AsString(), len(segs), len(into))
 			}
-			for i, col := range d.Columns {
-				v, err := d.unescape(segs[i])
+			for k, seg := range segs {
+				v, err := d.unescape(seg)
 				if err != nil {
 					return nil, err
 				}
-				nr[outer.Schema.Index(col)] = v
+				nr[into[k]] = v
 			}
 		}
 		data[r] = nr

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -244,7 +245,7 @@ func probes(tb *Table, pred Pred) bool {
 // N with no index and on K with an index on N, where the prefix path
 // answers conjuncts on the leading column and competes with the hash path;
 // then Table.Update on clones of the first two, the indexed one ordered on
-// K, which must be all or nothing (see checkUpdate).
+// K, with each of checkUpdate's two fns, which must be all or nothing.
 func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 	t.Helper()
 	want, refErr := refSelect(in, pred)
@@ -269,13 +270,15 @@ func checkEverywhere(t *testing.T, label string, in *Rows, pred Pred) {
 
 	for _, tb := range []*Table{plain, indexed} {
 		for _, failAt := range []int{-1, len(in.Data) % 3} {
-			c := tb.Clone()
-			if tb == indexed {
-				if err := c.Order("K"); err != nil {
-					t.Fatal(err)
+			for _, rekey := range []bool{false, true} {
+				c := tb.Clone()
+				if tb == indexed {
+					if err := c.Order("K"); err != nil {
+						t.Fatal(err)
+					}
 				}
+				checkUpdate(t, label, c, pred, failAt, rekey)
 			}
-			checkUpdate(t, label, c, pred, failAt)
 		}
 	}
 }
@@ -368,26 +371,56 @@ func checkTable(t *testing.T, label string, tb *Table, pred Pred) {
 	}
 }
 
+// rekeyed rewrites the indexed cells K, N and X of r, picked by its ID, so
+// that an Update moves index entries between buckets: NULL, a new string,
+// 2^60+{0,1,2} (one hkey) and NULL in N, and in X NULL, ±0 and NaN, Int(2)
+// for Float(2) and back (one hkey, so they stay put), -0 for +0 and back.
+func rekeyed(r Row) Row {
+	id := uint64(r[0].AsInt()) % 60
+	r[1] = []Value{Null(), Str("a"), Str("z")}[id%3]
+	r[2] = []Value{Null(), Int(1 << 60), Int(1<<60 + 1), Int(1<<60 + 2), r[2]}[id%5]
+	switch x := r[3]; {
+	case x.Equal(Int(2)) && x.Kind() == KindInt:
+		r[3] = Float(2)
+	case x.Equal(Int(2)):
+		r[3] = Int(2)
+	case x.Kind() == KindFloat && x.AsFloat() == 0:
+		r[3] = Float(-x.AsFloat())
+	default:
+		r[3] = []Value{Null(), Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), x}[id%5]
+	}
+	return r
+}
+
 // checkUpdate runs c.Update(pred) with an fn that negates the ID of each
-// row it is handed, except that match failAt (< 0: none) gets a NULL ID,
-// which the schema refuses. fn must see exactly the matches in storage
-// order, up to the row the reference scan or the replacement fails on. A
-// successful Update rewrites exactly the matches; a failed one returns 0
-// and leaves the rows, the index probes and the ordered prefix exactly as
-// they were.
-func checkUpdate(t *testing.T, label string, c *Table, pred Pred, failAt int) {
+// row it is handed or, with rekey, rewrites its indexed cells (rekeyed),
+// except that match failAt (< 0: none) gets a NULL ID, which the schema
+// refuses. fn must see exactly the matches in storage order, up to the row
+// the reference scan or the replacement fails on. A successful Update
+// rewrites exactly the matches; a failed one returns 0 and leaves the
+// rows, the index probes and the ordered prefix exactly as they were.
+// Either way every index's buckets hold exactly the row IDs a fresh
+// CreateIndex over the rows would: Lookup's Equal re-check hides a stale
+// ID, so they are compared directly.
+func checkUpdate(t *testing.T, label string, c *Table, pred Pred, failAt int, rekey bool) {
 	t.Helper()
 	before := c.Rows()
 	ordCols, ordLen := slices.Clone(c.ordCols), c.ordLen
+	replace := func(r Row) Row {
+		if rekey {
+			return rekeyed(r)
+		}
+		r[0] = Int(-1 - r[0].AsInt())
+		return r
+	}
 	var seen []Row
 	n, err := c.Update(pred, func(r Row) Row {
 		seen = append(seen, r.Clone())
 		if len(seen)-1 == failAt {
 			r[0] = Null()
-		} else {
-			r[0] = Int(-1 - r[0].AsInt())
+			return r
 		}
-		return r
+		return replace(r)
 	})
 	reached, refErr := refScan(before, pred)
 	if failAt >= 0 && failAt < len(reached) {
@@ -409,7 +442,7 @@ func checkUpdate(t *testing.T, label string, c *Table, pred Pred, failAt int) {
 		want = &Rows{Schema: before.Schema}
 		for _, r := range before.Data {
 			if ok, _ := evalPred(pred, r, before.Schema); ok {
-				r = append(Row{Int(-1 - r[0].AsInt())}, r[1:]...)
+				r = replace(r.Clone())
 			}
 			want.Data = append(want.Data, r)
 		}
@@ -443,6 +476,23 @@ func checkUpdate(t *testing.T, label string, c *Table, pred Pred, failAt int) {
 			if e := strictRowsEq(&Rows{Schema: want.Schema, Data: got}, &Rows{Schema: want.Schema, Data: match}); e != nil {
 				t.Fatalf("%s: after Update %s (error %v), Lookup(%s=%v): %v", label, pred.SQL(), err, col, r[ci], e)
 			}
+		}
+	}
+	for col, idx := range c.indexes {
+		fresh := c.Clone()
+		delete(fresh.indexes, col)
+		if err := fresh.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
+		sameIDs := func(a, b []int) bool {
+			a, b = slices.Clone(a), slices.Clone(b)
+			slices.Sort(a)
+			slices.Sort(b)
+			return slices.Equal(a, b)
+		}
+		if !maps.EqualFunc(idx.buckets, fresh.indexes[col].buckets, sameIDs) {
+			t.Fatalf("%s: after Update %s (error %v), the %s index holds %v, a fresh one %v",
+				label, pred.SQL(), err, col, idx.buckets, fresh.indexes[col].buckets)
 		}
 	}
 }

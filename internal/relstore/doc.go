@@ -38,6 +38,20 @@
 // must therefore know it owns it: the layouts' reads and [Select] always
 // return a fresh one.
 //
+// # Cells
+//
+// A [Value] is 32 bytes: a string header, a uint64 holding an INTEGER's
+// bits, a REAL's math.Float64bits (so -0 and NaN payloads survive) or a
+// BOOLEAN's 0 or 1, and the kind. A 24-byte cell, a data pointer read
+// through unsafe.String, measured within noise of it, so relstore uses no
+// unsafe. A narrower cell shrinks the live heap, but Go starts a
+// collection each time the heap grows by its live size, and a cycle's mark
+// work follows objects and pointers, not bytes: a smaller heap alone means
+// more cycles for the same garbage. So [Table.Update] moves a replaced
+// row's ID between index buckets only where its cell's hkey changed,
+// instead of rebuilding every index, and a writer batch's garbage no
+// longer grows with the table.
+//
 // # Hash keys
 //
 // [Join], [Unpivot] and a bound IN list hash an unexported comparable key
@@ -58,8 +72,7 @@
 // candidates: a superset of the matches, each tested with the whole
 // predicate, so the rows and their order are a scan's, though a row the
 // predicate would fail on with an error may be skipped. A hash index keys
-// buckets by [Value.Key], which agrees with Equal like hkey, -0 included,
-// and answers = and IN. The ordered prefix [Table.Order] leaves answers
+// buckets by hkey, re-checks every hit with Equal, and answers = and IN. The ordered prefix [Table.Order] leaves answers
 // those and <, <=, >, >= on its leading column by binary search, plus every
 // row appended since; the path with fewer candidates wins. The column must
 // be INTEGER, TEXT or BOOLEAN, which [Value.Compare] orders totally: a REAL
@@ -70,8 +83,10 @@
 // Every predicate scan — [Select], [Table.Select], [Table.SelectPage],
 // [Table.Delete] and [Table.Update] — binds its predicate to the schema once
 // (column names resolved to positions) and tests each row with exactly
-// [Pred.Eval]'s semantics, AND/OR short-circuit and errors included; every
-// other operator is a plain sequential loop. Parallelism lives one level
+// [Pred.Eval]'s semantics, AND/OR short-circuit and errors included.
+// [Derive], [Extend] and [BindDerive] bind their expressions the same way,
+// CASE guards through the predicate binder, and give each row exactly
+// [Expr.Eval]'s value or error. Every other operator is a plain loop. Parallelism lives one level
 // up, in the ETL executor, which runs independent workflow steps at once.
 //
 // # Durable format

@@ -96,19 +96,25 @@ func (a ArithExpr) Eval(r Row, s *Schema) (Value, error) {
 	if err != nil {
 		return Null(), err
 	}
+	return arith(a.Op, lv, rv)
+}
+
+// arith applies op to two evaluated operands: ArithExpr's operator, shared
+// by Eval and bindExpr.
+func arith(op ArithOp, lv, rv Value) (Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return Null(), nil
 	}
-	if a.Op == OpAdd && lv.Kind() == KindString && rv.Kind() == KindString {
+	if op == OpAdd && lv.Kind() == KindString && rv.Kind() == KindString {
 		return Str(lv.AsString() + rv.AsString()), nil
 	}
 	if !lv.IsNumeric() || !rv.IsNumeric() {
-		return Null(), fmt.Errorf("relstore: %s applied to non-numeric operands %s, %s", a.Op, lv, rv)
+		return Null(), fmt.Errorf("relstore: %s applied to non-numeric operands %s, %s", op, lv, rv)
 	}
 	// Integer arithmetic stays integral; any float operand widens.
 	if lv.Kind() == KindInt && rv.Kind() == KindInt {
 		x, y := lv.AsInt(), rv.AsInt()
-		switch a.Op {
+		switch op {
 		case OpAdd:
 			return Int(x + y), nil
 		case OpSub:
@@ -131,7 +137,7 @@ func (a ArithExpr) Eval(r Row, s *Schema) (Value, error) {
 		}
 	}
 	x, y := lv.AsFloat(), rv.AsFloat()
-	switch a.Op {
+	switch op {
 	case OpAdd:
 		return Float(x + y), nil
 	case OpSub:
@@ -149,7 +155,7 @@ func (a ArithExpr) Eval(r Row, s *Schema) (Value, error) {
 		}
 		return Float(math.Mod(x, y)), nil
 	}
-	return Null(), fmt.Errorf("relstore: unknown arithmetic op %d", a.Op)
+	return Null(), fmt.Errorf("relstore: unknown arithmetic op %d", op)
 }
 
 // SQL implements Expr.
@@ -166,10 +172,17 @@ func Neg(e Expr) NegExpr { return NegExpr{E: e} }
 // Eval implements Expr.
 func (n NegExpr) Eval(r Row, s *Schema) (Value, error) {
 	v, err := n.E.Eval(r, s)
-	if err != nil || v.IsNull() {
+	if err != nil {
 		return Null(), err
 	}
+	return negate(v)
+}
+
+// negate is NegExpr's operator, shared by Eval and bindExpr.
+func negate(v Value) (Value, error) {
 	switch v.Kind() {
+	case KindNull:
+		return Null(), nil
 	case KindInt:
 		return Int(-v.AsInt()), nil
 	case KindFloat:
@@ -249,74 +262,14 @@ func (f FuncExpr) Eval(r Row, s *Schema) (Value, error) {
 		}
 		vals[i] = v
 	}
-	arity := func(n int) error {
-		if len(vals) != n {
-			return fmt.Errorf("relstore: %s expects %d args, got %d", f.Name, n, len(vals))
-		}
-		return nil
-	}
-	switch f.Name {
-	case "ABS":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		v := vals[0]
-		if v.IsNull() {
-			return Null(), nil
-		}
-		switch v.Kind() {
-		case KindInt:
-			if v.AsInt() < 0 {
-				return Int(-v.AsInt()), nil
-			}
-			return v, nil
-		case KindFloat:
-			return Float(math.Abs(v.AsFloat())), nil
-		}
-		return Null(), fmt.Errorf("relstore: ABS of non-numeric %s", v)
-	case "LENGTH":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if vals[0].IsNull() {
-			return Null(), nil
-		}
-		return Int(int64(len(vals[0].Display()))), nil
-	case "LOWER":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if vals[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.ToLower(vals[0].Display())), nil
-	case "UPPER":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if vals[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.ToUpper(vals[0].Display())), nil
-	case "TRIM":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if vals[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.TrimSpace(vals[0].Display())), nil
-	case "ROUND":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if vals[0].IsNull() {
-			return Null(), nil
-		}
-		if !vals[0].IsNumeric() {
-			return Null(), fmt.Errorf("relstore: ROUND of non-numeric %s", vals[0])
-		}
-		return Float(math.Round(vals[0].AsFloat())), nil
+	return applyFunc(f.Name, vals)
+}
+
+// applyFunc applies the function name to evaluated arguments: FuncExpr's
+// operator, shared by Eval and bindExpr. Every function but COALESCE takes
+// one argument and maps NULL to NULL.
+func applyFunc(name string, vals []Value) (Value, error) {
+	switch name {
 	case "COALESCE":
 		for _, v := range vals {
 			if !v.IsNull() {
@@ -324,9 +277,35 @@ func (f FuncExpr) Eval(r Row, s *Schema) (Value, error) {
 			}
 		}
 		return Null(), nil
+	case "ABS", "LENGTH", "LOWER", "UPPER", "TRIM", "ROUND":
 	default:
-		return Null(), fmt.Errorf("relstore: unknown function %s", f.Name)
+		return Null(), fmt.Errorf("relstore: unknown function %s", name)
 	}
+	if len(vals) != 1 {
+		return Null(), fmt.Errorf("relstore: %s expects 1 args, got %d", name, len(vals))
+	}
+	v := vals[0]
+	switch {
+	case v.IsNull():
+		return Null(), nil
+	case name == "LENGTH":
+		return Int(int64(len(v.Display()))), nil
+	case name == "LOWER":
+		return Str(strings.ToLower(v.Display())), nil
+	case name == "UPPER":
+		return Str(strings.ToUpper(v.Display())), nil
+	case name == "TRIM":
+		return Str(strings.TrimSpace(v.Display())), nil
+	case !v.IsNumeric():
+		return Null(), fmt.Errorf("relstore: %s of non-numeric %s", name, v)
+	case name == "ROUND":
+		return Float(math.Round(v.AsFloat())), nil
+	case v.Kind() == KindFloat: // ABS from here on
+		return Float(math.Abs(v.AsFloat())), nil
+	case v.AsInt() < 0:
+		return Int(-v.AsInt()), nil
+	}
+	return v, nil
 }
 
 // SQL implements Expr.
@@ -336,4 +315,84 @@ func (f FuncExpr) SQL() string {
 		args[i] = a.SQL()
 	}
 	return f.Name + "(" + strings.Join(args, ", ") + ")"
+}
+
+// rowEval is an expression bound to one schema: it evaluates one row.
+type rowEval func(Row) (Value, error)
+
+// bindExpr binds e to s once per call, as bindPred binds a predicate: every
+// row gets exactly the value and the error e.Eval(row, s) gives. A column
+// reads its resolved position, CASE binds its guards with bindPred, and
+// operators bind their operands and share Eval's operator code. Every other
+// shape, an unknown column included, falls back to e.Eval, so an error
+// arises exactly where Eval raises it.
+func bindExpr(e Expr, s *Schema) rowEval {
+	switch x := e.(type) {
+	case ColRef:
+		if ci, ok := colPos(x, s); ok {
+			return func(r Row) (Value, error) { return r[ci], nil }
+		}
+	case LitExpr:
+		return func(Row) (Value, error) { return x.V, nil }
+	case CaseExpr:
+		whens, thens := make([]rowTest, len(x.Branches)), make([]rowEval, len(x.Branches))
+		for i, b := range x.Branches {
+			whens[i], thens[i] = bindPred(b.When, s), bindExpr(b.Then, s)
+		}
+		otherwise := bindExpr(LitExpr{}, s) // no ELSE: NULL
+		if x.Else != nil {
+			otherwise = bindExpr(x.Else, s)
+		}
+		return func(r Row) (Value, error) {
+			for i, when := range whens {
+				ok, err := when(r)
+				if err != nil {
+					return Null(), err
+				}
+				if ok {
+					return thens[i](r)
+				}
+			}
+			return otherwise(r)
+		}
+	case ArithExpr:
+		l, rt := bindExpr(x.L, s), bindExpr(x.R, s)
+		return func(r Row) (Value, error) {
+			lv, err := l(r)
+			if err != nil {
+				return Null(), err
+			}
+			rv, err := rt(r)
+			if err != nil {
+				return Null(), err
+			}
+			return arith(x.Op, lv, rv)
+		}
+	case NegExpr:
+		in := bindExpr(x.E, s)
+		return func(r Row) (Value, error) {
+			v, err := in(r)
+			if err != nil {
+				return Null(), err
+			}
+			return negate(v)
+		}
+	case FuncExpr:
+		args := make([]rowEval, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = bindExpr(a, s)
+		}
+		return func(r Row) (Value, error) {
+			vals := make([]Value, len(args))
+			for i, a := range args {
+				v, err := a(r)
+				if err != nil {
+					return Null(), err
+				}
+				vals[i] = v
+			}
+			return applyFunc(x.Name, vals)
+		}
+	}
+	return func(r Row) (Value, error) { return e.Eval(r, s) }
 }

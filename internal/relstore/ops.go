@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -179,25 +180,37 @@ func DeriveSchema(derivs []Derivation) (*Schema, error) {
 	return NewSchema(cols...)
 }
 
-// DeriveRow evaluates the derivations over one row — the unit of work Derive
-// applies per tuple, exposed so callers with a poison-row path can isolate a
-// single failing tuple instead of losing the whole relation.
-func DeriveRow(derivs []Derivation, row Row, schema *Schema) (Row, error) {
-	nr := make(Row, len(derivs))
+// BindDerive binds the derivations to the input schema s once and returns
+// the unit of work Derive applies per tuple, for callers with a poison-row
+// path that bind once per relation and isolate a failing tuple: it derives
+// one output row from one input row of s, exactly as evaluating each Expr
+// with Eval would, each value coerced to its column type.
+func BindDerive(derivs []Derivation, s *Schema) func(Row) (Row, error) {
+	return bindDerive(derivs, s, "derive", 0)
+}
+
+// bindDerive binds derivs to s. The row it returns per input row holds the
+// input's first keep cells, then each derivation's coerced value; the first
+// failing derivation fails it as "<verb> <name>: …".
+func bindDerive(derivs []Derivation, s *Schema, verb string, keep int) func(Row) (Row, error) {
+	evals := make([]rowEval, len(derivs))
 	for i, d := range derivs {
-		v, err := d.Expr.Eval(row, schema)
-		if err != nil {
-			return nil, fmt.Errorf("derive %s: %w", d.Name, err)
-		}
-		if !v.IsNull() && d.Type != KindNull && v.Kind() != d.Type {
-			v, err = Coerce(v, d.Type)
-			if err != nil {
-				return nil, fmt.Errorf("derive %s: %w", d.Name, err)
-			}
-		}
-		nr[i] = v
+		evals[i] = bindExpr(d.Expr, s)
 	}
-	return nr, nil
+	return func(row Row) (Row, error) {
+		nr := append(make(Row, 0, keep+len(derivs)), row[:keep]...)
+		for i, d := range derivs {
+			v, err := evals[i](row)
+			if err == nil && d.Type != KindNull {
+				v, err = Coerce(v, d.Type)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", verb, d.Name, err)
+			}
+			nr = append(nr, v)
+		}
+		return nr, nil
+	}
 }
 
 // Derive computes a new relation whose columns are the given derivations
@@ -209,14 +222,7 @@ func Derive(in *Rows, derivs ...Derivation) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	mBatchRows.Add(int64(len(in.Data)))
-	out := make([]Row, len(in.Data))
-	for j, row := range in.Data {
-		if out[j], err = DeriveRow(derivs, row, in.Schema); err != nil {
-			return nil, err
-		}
-	}
-	return &Rows{Schema: schema, Data: out}, nil
+	return deriveAll(in, schema, BindDerive(derivs, in.Schema))
 }
 
 // Extend appends computed columns to the input relation.
@@ -230,25 +236,19 @@ func Extend(in *Rows, derivs ...Derivation) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
+	return deriveAll(in, schema, bindDerive(derivs, in.Schema, "extend", in.Schema.Arity()))
+}
+
+// deriveAll applies a bound derivation to every row of in, stopping at the
+// first row that fails.
+func deriveAll(in *Rows, schema *Schema, derive func(Row) (Row, error)) (*Rows, error) {
 	mBatchRows.Add(int64(len(in.Data)))
 	out := make([]Row, len(in.Data))
 	for j, row := range in.Data {
-		nr := make(Row, 0, schema.Arity())
-		nr = append(nr, row...)
-		for _, d := range derivs {
-			v, err := d.Expr.Eval(row, in.Schema)
-			if err != nil {
-				return nil, fmt.Errorf("extend %s: %w", d.Name, err)
-			}
-			if !v.IsNull() && d.Type != KindNull && v.Kind() != d.Type {
-				v, err = Coerce(v, d.Type)
-				if err != nil {
-					return nil, fmt.Errorf("extend %s: %w", d.Name, err)
-				}
-			}
-			nr = append(nr, v)
+		var err error
+		if out[j], err = derive(row); err != nil {
+			return nil, err
 		}
-		out[j] = nr
 	}
 	return &Rows{Schema: schema, Data: out}, nil
 }
@@ -377,7 +377,7 @@ func Distinct(in *Rows) *Rows {
 }
 
 // SortBy orders rows by the named columns ascending (stable), comparing the
-// key cells of the rows directly.
+// key cells of the rows directly (see rowOrder).
 func SortBy(in *Rows, cols ...string) (*Rows, error) {
 	opSortBy.Inc()
 	idx := make([]int, len(cols))
@@ -389,15 +389,27 @@ func SortBy(in *Rows, cols ...string) (*Rows, error) {
 		idx[i] = k
 	}
 	out := append(make([]Row, 0, len(in.Data)), in.Data...)
-	slices.SortStableFunc(out, func(a, b Row) int {
-		for _, k := range idx {
-			if c := a[k].Compare(b[k]); c != 0 {
+	slices.SortStableFunc(out, rowOrder(idx))
+	return &Rows{Schema: in.Schema, Data: out}, nil
+}
+
+// rowOrder is the row comparator of SortBy and Table.Order: the cells at
+// cols in turn, by Compare, except that NaN, which Compare ties with every
+// number, sorts after every number and ties with NaN.
+func rowOrder(cols []int) func(a, b Row) int {
+	return func(a, b Row) int {
+		for _, k := range cols {
+			c := a[k].Compare(b[k])
+			if c == 0 && a[k].IsNumeric() && b[k].IsNumeric() {
+				// Equal numbers, or NaN: cmp.Compare puts NaN first.
+				c = -cmp.Compare(a[k].AsFloat(), b[k].AsFloat())
+			}
+			if c != 0 {
 				return c
 			}
 		}
 		return 0
-	})
-	return &Rows{Schema: in.Schema, Data: out}, nil
+	}
 }
 
 // Pivot converts a wide relation to Entity-Attribute-Value form: for each

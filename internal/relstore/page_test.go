@@ -294,6 +294,77 @@ func TestOrderHugeInts(t *testing.T) {
 	}
 }
 
+// TestOrderSortsNaNLast: Compare ties NaN with every number, so a row
+// comparator built on it alone took 5, 6, 7, NaN, 1, 2, 3 as sorted. Both
+// SortBy and Order put NaN after every number.
+func TestOrderSortsNaNLast(t *testing.T) {
+	in := &Rows{Schema: propSchema()}
+	for i, x := range []float64{5, 6, 7, math.NaN(), 1, 2, 3} {
+		in.Data = append(in.Data, Row{Int(int64(i)), Null(), Null(), Float(x), Null()})
+	}
+	sorted, err := SortBy(in, "X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := pageTable(t, in)
+	if err := tb.Order("X"); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1, 2, 3, 5, 6, 7, math.NaN()}
+	for name, rows := range map[string]*Rows{"SortBy": sorted, "Order": tb.Rows()} {
+		for i, row := range rows.Data {
+			if got := row[3].AsFloat(); got != want[i] && !(math.IsNaN(got) && math.IsNaN(want[i])) {
+				t.Fatalf("%s: row %d has X=%v, want %v", name, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestOrderMatchesSortByOnREAL: over REAL cells drawn from NaN, ±0,
+// Int(2), Float(2) and a few other numbers, Order — from scratch and then
+// after deletes and appends, merging only the new tail — leaves exactly
+// SortBy's stable order, ties among NaNs, among ±0 and between Int(2) and
+// Float(2) included (the ID column tells tied rows apart).
+func TestOrderMatchesSortByOnREAL(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	cells := []Value{Null(), Float(math.NaN()), Float(0), Float(math.Copysign(0, -1)), Int(0),
+		Int(2), Float(2), Float(-1.5), Int(7), Float(math.Inf(1))}
+	next := int64(0)
+	rows := func(n int) []Row {
+		out := make([]Row, n)
+		for i := range out {
+			out[i] = Row{Int(next), Null(), Int(int64(r.Intn(3))), cells[r.Intn(len(cells))], Null()}
+			next++
+		}
+		return out
+	}
+	for trial := 0; trial < 30; trial++ {
+		tb := NewTable("T", propSchema())
+		if err := tb.InsertAll(rows(r.Intn(60))); err != nil {
+			t.Fatal(err)
+		}
+		cols := [][]string{{"X"}, {"X", "ID"}, {"N", "X"}}[trial%3]
+		for round := 0; round < 4; round++ {
+			want, err := SortBy(tb.Rows(), cols...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.Order(cols...); err != nil {
+				t.Fatal(err)
+			}
+			if err := strictRowsEq(tb.Rows(), want); err != nil {
+				t.Fatalf("trial %d round %d order %v: %v", trial, round, cols, err)
+			}
+			if _, err := tb.Delete(Eq("X", cells[1+r.Intn(len(cells)-1)])); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.InsertAll(rows(r.Intn(20))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestOrderKeepsIndexProbesExact reorders, deletes and appends, then checks
 // every index-probe entry point against a filter over a full scan: Lookup,
 // indexed equality and IN Selects, and indexed Delete — the last on a Clone,

@@ -114,11 +114,11 @@ func bindCmp(op CmpOp, ci int, lit Value) rowTest {
 	}
 	switch lit.kind {
 	case KindInt:
-		y := lit.i
+		y := lit.i()
 		return func(r Row) (bool, error) {
 			switch v := &r[ci]; v.kind {
 			case KindInt:
-				return holds[cmp.Compare(v.i, y)+1], nil
+				return holds[cmp.Compare(v.i(), y)+1], nil
 			case KindNull:
 				return op == CmpNe, nil
 			}

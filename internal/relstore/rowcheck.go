@@ -5,7 +5,6 @@ package relstore
 import (
 	"fmt"
 	"maps"
-	"math"
 )
 
 // rowCheck proves the ownership rule (see Table) under the existing test
@@ -101,17 +100,11 @@ func hashRow(r Row) uint64 {
 	}
 	for _, v := range r {
 		mix(uint64(v.kind))
-		mix(uint64(v.i))
-		mix(math.Float64bits(v.f))
+		mix(uint64(v.i())) // every payload bit, whatever the kind
 		mix(uint64(len(v.s)))
 		for i := 0; i < len(v.s); i++ {
 			h ^= uint64(v.s[i])
 			h *= 1099511628211
-		}
-		if v.b {
-			mix(1)
-		} else {
-			mix(0)
 		}
 	}
 	return h

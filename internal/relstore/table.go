@@ -51,7 +51,28 @@ type Table struct {
 
 type hashIndex struct {
 	col     int
-	buckets map[string][]int // value key -> stable row IDs
+	buckets map[hkey][]int // a cell's hkey -> stable row IDs
+}
+
+// add files row ID id under its indexed cell v.
+func (idx *hashIndex) add(v Value, id int) {
+	k := v.hkey()
+	idx.buckets[k] = append(idx.buckets[k], id)
+}
+
+// remove takes row ID id out of the bucket of its indexed cell v, and drops
+// the bucket once it is empty.
+func (idx *hashIndex) remove(v Value, id int) {
+	k := v.hkey()
+	b := idx.buckets[k]
+	if i := slices.Index(b, id); i >= 0 {
+		b[i], b = b[len(b)-1], b[:len(b)-1]
+	}
+	if len(b) == 0 {
+		delete(idx.buckets, k)
+	} else {
+		idx.buckets[k] = b
+	}
 }
 
 // NewTable creates an empty table.
@@ -123,8 +144,7 @@ func (t *Table) appendLocked(r Row) {
 	}
 	t.ids = append(t.ids, id)
 	for _, idx := range t.indexes {
-		k := r[idx.col].Key()
-		idx.buckets[k] = append(idx.buckets[k], id)
+		idx.add(r[idx.col], id)
 	}
 	t.check.record(t.name, r)
 }
@@ -148,8 +168,9 @@ func (t *Table) InsertMap(m map[string]Value) error {
 // or nothing, like Delete and InsertAll: every match is found, handed to fn
 // in storage order and its replacement validated before any row is
 // written, so a predicate error or an invalid replacement returns 0 and
-// leaves the rows, the indexes and the ordered prefix as they were.
-// Indexes are rebuilt if any update occurred.
+// leaves the rows, the indexes and the ordered prefix as they were. Then a
+// replaced row's ID moves buckets only in an index whose cell's hkey
+// changed, and the ordered prefix is dropped.
 func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -176,12 +197,18 @@ func (t *Table) Update(pred Pred, fn func(Row) Row) (int, error) {
 		return 0, nil
 	}
 	for j, i := range at {
-		t.check.forget(t.rows[i])
-		t.check.record(t.name, repl[j])
-		t.rows[i] = repl[j]
+		old, nr := t.rows[i], repl[j]
+		t.check.forget(old)
+		t.check.record(t.name, nr)
+		t.rows[i] = nr
+		for _, idx := range t.indexes {
+			if old[idx.col].hkey() != nr[idx.col].hkey() {
+				idx.remove(old[idx.col], t.ids[i])
+				idx.add(nr[idx.col], t.ids[i])
+			}
+		}
 	}
 	t.ordCols, t.ordLen = nil, 0
-	t.rebuildIndexesLocked()
 	return len(at), nil
 }
 
@@ -213,20 +240,7 @@ func (t *Table) Delete(pred Pred) (int, error) {
 		t.check.verify(t.name, r)
 		t.check.forget(r)
 		for _, idx := range t.indexes {
-			k := r[idx.col].Key()
-			b := idx.buckets[k]
-			for i, bid := range b {
-				if bid == id {
-					b[i] = b[len(b)-1]
-					b = b[:len(b)-1]
-					break
-				}
-			}
-			if len(b) == 0 {
-				delete(idx.buckets, k)
-			} else {
-				idx.buckets[k] = b
-			}
+			idx.remove(r[idx.col], id)
 		}
 		t.pos[id] = -1
 		t.freeIDs = append(t.freeIDs, id)
@@ -267,7 +281,9 @@ func (t *Table) Truncate() {
 	t.freeIDs = nil
 	t.ordCols, t.ordLen = nil, 0
 	t.check = rowCheck{}
-	t.rebuildIndexesLocked()
+	for _, idx := range t.indexes {
+		clear(idx.buckets)
+	}
 }
 
 // CreateIndex builds a hash index on the named column. Creating an index
@@ -282,10 +298,9 @@ func (t *Table) CreateIndex(col string) error {
 	if _, ok := t.indexes[col]; ok {
 		return nil
 	}
-	idx := &hashIndex{col: i, buckets: make(map[string][]int)}
+	idx := &hashIndex{col: i, buckets: make(map[hkey][]int)}
 	for p, r := range t.rows {
-		k := r[i].Key()
-		idx.buckets[k] = append(idx.buckets[k], t.ids[p])
+		idx.add(r[i], t.ids[p])
 	}
 	t.indexes[col] = idx
 	return nil
@@ -313,18 +328,6 @@ func (t *Table) HasIndex(col string) bool {
 	return ok
 }
 
-func (t *Table) rebuildIndexesLocked() {
-	for col, idx := range t.indexes {
-		i := idx.col
-		nb := make(map[string][]int)
-		for p, r := range t.rows {
-			k := r[i].Key()
-			nb[k] = append(nb[k], t.ids[p])
-		}
-		t.indexes[col] = &hashIndex{col: i, buckets: nb}
-	}
-}
-
 // bucketPositionsLocked maps a bucket's row IDs to their current storage
 // positions, sorted ascending so index probes yield rows in the same order a
 // full scan would. Callers must hold t.mu.
@@ -349,7 +352,7 @@ func (t *Table) Lookup(col string, v Value) ([]Row, error) {
 	defer t.mu.RUnlock()
 	var out []Row
 	if idx, ok := t.indexes[col]; ok {
-		positions := t.bucketPositionsLocked(idx.buckets[v.Key()])
+		positions := t.bucketPositionsLocked(idx.buckets[v.hkey()])
 		out = make([]Row, 0, len(positions))
 		for _, p := range positions {
 			// Re-check: colliding keys (integers past 2^53) share a bucket.
@@ -479,9 +482,9 @@ func (t *Table) probeLocked(pred Pred) (positions []int, ok bool) {
 			}
 			var buckets [][]int
 			n := 0
-			seen := make(map[string]bool, len(tm.lits))
+			seen := make(map[hkey]bool, len(tm.lits))
 			for _, v := range tm.lits {
-				if k := v.Key(); !seen[k] {
+				if k := v.hkey(); !seen[k] {
 					seen[k] = true
 					buckets = append(buckets, idx.buckets[k])
 					n += len(idx.buckets[k])
@@ -613,9 +616,9 @@ func intersectSpans(a, b [][2]int) (out [][2]int) {
 }
 
 // Order stably reorders the stored rows ascending by the named columns — the
-// order SortBy over a full scan would give — so every later scan, Select
-// and SelectPage yields rows in that order. Only rows, ids and pos change:
-// index buckets hold stable row IDs and are not re-hashed.
+// order SortBy over a full scan would give (see rowOrder) — so every later
+// scan, Select and SelectPage yields rows in that order. Only rows, ids and
+// pos change: index buckets hold stable row IDs and are not re-hashed.
 //
 // The table remembers the columns of its last Order and how much of storage
 // is still in that order: deletes keep the order, and inserts append past
@@ -635,14 +638,7 @@ func (t *Table) Order(cols ...string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.check.verifyAll(t.name, t.rows)
-	cmpRows := func(a, b Row) int {
-		for _, k := range idx {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
+	cmpRows := rowOrder(idx)
 	n := len(t.rows)
 	p := 1
 	if slices.Equal(idx, t.ordCols) {
@@ -708,7 +704,7 @@ func (t *Table) Clone() *Table {
 		check:   t.check.clone(),
 	}
 	for col, idx := range t.indexes {
-		buckets := make(map[string][]int, len(idx.buckets))
+		buckets := make(map[hkey][]int, len(idx.buckets))
 		for k, ids := range idx.buckets {
 			buckets[k] = slices.Clone(ids)
 		}

@@ -40,29 +40,43 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single typed cell. The zero Value is NULL.
+// Value is a single typed cell, 32 bytes wide (see the package doc,
+// "Cells"). The zero Value is NULL. s holds a TEXT cell's string, and n an
+// INTEGER's bits, a REAL's math.Float64bits or a BOOLEAN's 0 or 1, so -0
+// and every NaN payload survive. Values are compared with Equal or Compare,
+// never with ==, and never key a map: on this layout == tells -0 from +0
+// and calls two NaNs with one payload equal.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
+
+// i, f and b read n as an INTEGER, a REAL and a BOOLEAN: a caller knows
+// the kind first.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the runtime kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -71,22 +85,30 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsInt returns the integer payload. It is valid only when Kind is KindInt.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return v.i()
+}
 
 // AsFloat returns the numeric payload widened to float64. Valid for KindInt
 // and KindFloat.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(v.i())
+	case KindFloat:
+		return v.f()
 	}
-	return v.f
+	return 0
 }
 
 // AsString returns the string payload. Valid only when Kind is KindString.
 func (v Value) AsString() string { return v.s }
 
 // AsBool returns the boolean payload. Valid only when Kind is KindBool.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.b() }
 
 // IsNumeric reports whether v is an integer or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -97,13 +119,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -130,7 +152,7 @@ func (v Value) Equal(o Value) bool {
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.kind == KindInt && o.kind == KindInt {
-			return v.i == o.i
+			return v.i() == o.i()
 		}
 		return v.AsFloat() == o.AsFloat()
 	}
@@ -141,7 +163,7 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.s == o.s
 	case KindBool:
-		return v.b == o.b
+		return v.b() == o.b()
 	}
 	return false
 }
@@ -162,7 +184,7 @@ func (v Value) Compare(o Value) int {
 		}
 	}
 	if v.kind == KindInt && o.kind == KindInt {
-		return cmp.Compare(v.i, o.i)
+		return cmp.Compare(v.i(), o.i())
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		a, b := v.AsFloat(), o.AsFloat()
@@ -186,9 +208,9 @@ func (v Value) Compare(o Value) int {
 		return strings.Compare(v.s, o.s)
 	case KindBool:
 		switch {
-		case v.b == o.b:
+		case v.b() == o.b():
 			return 0
-		case !v.b:
+		case !v.b():
 			return -1
 		default:
 			return 1
@@ -197,26 +219,27 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// Key returns a map-key form of the value, suitable for hash indexes and
-// checkpoint keys. Numerically equal int/float values share a key, -0
-// included: a.Equal(b) implies a.Key() == b.Key(). The converse fails for
-// integers past 2^53, which share their float64 neighbour's key, so a
-// lookup by key re-checks Equal.
+// Key returns a string map-key form of the value, for whole-row keys
+// (Row.Key), grouping, checkpoint keys and callers outside relstore; hash
+// indexes and hash operators key by hkey instead. Numerically equal
+// int/float values share a key, -0 included: a.Equal(b) implies a.Key() ==
+// b.Key(). The converse fails for integers past 2^53, which share their
+// float64 neighbour's key, so a lookup by key re-checks Equal.
 func (v Value) Key() string {
 	switch v.kind {
 	case KindNull:
 		return "n"
 	case KindInt:
-		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return "f" + strconv.FormatFloat(float64(v.i()), 'g', -1, 64)
 	case KindFloat:
-		if v.f == 0 {
+		if v.f() == 0 {
 			return "f0"
 		}
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "f" + strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return "s" + v.s
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "bt"
 		}
 		return "bf"
@@ -225,12 +248,13 @@ func (v Value) Key() string {
 	}
 }
 
-// hkey is the hash key relstore's hash operators (Join, Unpivot and a
-// bound IN list) use in place of Key: comparable, and computed without
-// allocating. Like Key, a.Equal(b) implies a.hkey() == b.hkey(): every
-// number is keyed by its float64 bits, with -0 folded into +0 and every
-// NaN sharing one key, so an integer past 2^53 shares its float64
-// neighbour's key and a hit is re-checked with Equal.
+// hkey is the hash key relstore's hash indexes and hash operators (Join,
+// Unpivot and a bound IN list) use in place of Key: comparable, computed
+// without allocating, and with Key's equivalence classes. a.Equal(b)
+// implies a.hkey() == b.hkey(): every number is keyed by its float64
+// bits, with -0 folded into +0 and every NaN sharing one key, so an
+// integer past 2^53 shares its float64 neighbour's key and a hit is
+// re-checked with Equal.
 type hkey struct {
 	kind Kind   // KindFloat for every number
 	bits uint64 // a number's float64 bits; a bool's 0 or 1
@@ -243,19 +267,19 @@ var canonicalNaN = math.Float64bits(math.NaN())
 func (v Value) hkey() hkey {
 	switch v.kind {
 	case KindInt:
-		return hkey{kind: KindFloat, bits: math.Float64bits(float64(v.i))}
+		return hkey{kind: KindFloat, bits: math.Float64bits(float64(v.i()))}
 	case KindFloat:
 		switch {
-		case v.f == 0:
+		case v.f() == 0:
 			return hkey{kind: KindFloat}
-		case v.f != v.f:
+		case v.f() != v.f():
 			return hkey{kind: KindFloat, bits: canonicalNaN}
 		}
-		return hkey{kind: KindFloat, bits: math.Float64bits(v.f)}
+		return hkey{kind: KindFloat, bits: math.Float64bits(v.f())}
 	case KindString:
 		return hkey{kind: KindString, s: v.s}
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return hkey{kind: KindBool, bits: 1}
 		}
 		return hkey{kind: KindBool}
@@ -268,11 +292,11 @@ func (v Value) hkey() hkey {
 func (v Value) Truthy() bool {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.b()
 	case KindInt:
-		return v.i != 0
+		return v.i() != 0
 	case KindFloat:
-		return v.f != 0
+		return v.f() != 0
 	case KindString:
 		return v.s != ""
 	default:
@@ -294,7 +318,7 @@ func Coerce(v Value, k Kind) (Value, error) {
 	case KindFloat:
 		switch v.kind {
 		case KindInt:
-			return Float(float64(v.i)), nil
+			return Float(float64(v.i())), nil
 		case KindString:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 			if err != nil {
@@ -302,7 +326,7 @@ func Coerce(v Value, k Kind) (Value, error) {
 			}
 			return Float(f), nil
 		case KindBool:
-			if v.b {
+			if v.b() {
 				return Float(1), nil
 			}
 			return Float(0), nil
@@ -310,8 +334,8 @@ func Coerce(v Value, k Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			if v.f == float64(int64(v.f)) {
-				return Int(int64(v.f)), nil
+			if v.f() == float64(int64(v.f())) {
+				return Int(int64(v.f())), nil
 			}
 			return Null(), fmt.Errorf("relstore: cannot coerce %s to INTEGER without loss", v)
 		case KindString:
@@ -321,7 +345,7 @@ func Coerce(v Value, k Kind) (Value, error) {
 			}
 			return Int(i), nil
 		case KindBool:
-			if v.b {
+			if v.b() {
 				return Int(1), nil
 			}
 			return Int(0), nil
@@ -329,9 +353,9 @@ func Coerce(v Value, k Kind) (Value, error) {
 	case KindBool:
 		switch v.kind {
 		case KindInt:
-			return Bool(v.i != 0), nil
+			return Bool(v.i() != 0), nil
 		case KindFloat:
-			return Bool(v.f != 0), nil
+			return Bool(v.f() != 0), nil
 		case KindString:
 			switch strings.ToLower(strings.TrimSpace(v.s)) {
 			case "true", "t", "yes", "y", "1":
